@@ -130,14 +130,6 @@ func (k *Kernel) SetJournal(w *journal.Writer) { k.fs.SetJournal(w) }
 // Journal returns the attached journal writer, or nil.
 func (k *Kernel) Journal() *journal.Writer { return k.fs.Journal() }
 
-// Injector returns the installed fault injector, or nil.
-func (k *Kernel) Injector() Injector {
-	if b := k.inj.Load(); b != nil {
-		return b.inj
-	}
-	return nil
-}
-
 // SetCrashHook installs (or removes, with nil) a function invoked at
 // the top of every Crash, before the process-table lock is taken. It
 // gives a machine supervisor a push-path death signal; the hook runs on
@@ -145,11 +137,7 @@ func (k *Kernel) Injector() Injector {
 // caller synchronously (re-entering Crash itself is safe — the hook
 // fires again, so it must be idempotent).
 func (k *Kernel) SetCrashHook(fn func()) {
-	if fn == nil {
-		k.crashHook.Store(nil)
-		return
-	}
-	k.crashHook.Store(&fn)
+	k.updateFacilities(func(f *facilities) { f.crashHook = fn })
 }
 
 // Crash kills the world: every live process gets an unmaskable,
@@ -158,8 +146,8 @@ func (k *Kernel) SetCrashHook(fn func()) {
 // journal store first (the injected-crash path does), then WaitExit the
 // top-level process and recover.
 func (k *Kernel) Crash() {
-	if fn := k.crashHook.Load(); fn != nil {
-		(*fn)()
+	if fn := k.fac.Load().crashHook; fn != nil {
+		fn()
 	}
 	k.pmu.Lock()
 	defer k.pmu.Unlock()

@@ -62,57 +62,82 @@ type Kernel struct {
 	// process runs; reads take no lock.
 	devices map[uint32]vfs.Device
 
-	// tracer, when holding a non-nil Tracer, receives kernel-level
-	// file-reference events — the "monolithic, compiled-into-the-kernel"
-	// implementation that the paper's §3.5.3 compares against the dfstrace
-	// agent.
-	tracer atomic.Pointer[tracerBox]
-
-	// tel, when non-nil, receives every syscall's latency, per-layer time
-	// attribution, and flight-recorder events. While nil the entire
-	// facility costs one atomic pointer load per instrumentation site.
-	tel atomic.Pointer[telemetry.Registry]
-
-	// inj, when non-nil, is consulted on the kernel leg of every dispatch
-	// — below all emulation layers — and may satisfy or rewrite the call
-	// (fault injection). While nil it costs one atomic pointer load.
-	inj atomic.Pointer[injectorBox]
-
-	// sup, when non-nil, supervises every agent upcall: panic
-	// containment, per-layer circuit breakers, and optional deadlines
-	// (supervise.go). It is consulted only on the interposed leg of
-	// dispatch, so the uninterposed fast path stays one atomic plan
-	// load; while nil the interposed leg pays one atomic pointer load.
-	sup atomic.Pointer[Supervisor]
-
-	// trc, when non-nil, is the causal span tracer: sampled syscalls open
-	// root spans, interested layer upcalls and the kernel leg open child
-	// spans, and causal edges (fork, exec, pipe, signal, wait) connect
-	// spans across processes (internal/trace, DESIGN.md §11). While nil
-	// the facility costs one atomic pointer load per syscall entry.
-	trc atomic.Pointer[trace.Tracer]
+	// fac holds every optional facility a system call may consult. It
+	// is never nil (noFacilities when all are off) and immutable once
+	// published: setters copy it, change one field and CAS the copy in,
+	// the way a process's dispatch plan is republished. With every
+	// facility off, the whole set costs a system call one atomic pointer
+	// load (the paper's pay-per-use principle).
+	fac atomic.Pointer[facilities]
 
 	// exec memoizes execve's image-header parsing per inode, validated by
 	// the inode generation counter (execcache.go).
 	exec execCache
-
-	// extraGauges, when non-nil, contributes host-side gauge rows (e.g.
-	// the warm-pool hit/miss/size gauges a pooled world reports) to the
-	// telemetry snapshot alongside the kernel's own cache gauges, so they
-	// surface in /dev/metrics and agentrun -stats.
-	extraGauges atomic.Pointer[gaugeSourceBox]
-
-	// crashHook, when non-nil, is invoked at the top of Crash — before
-	// any kernel lock is taken — so a machine supervisor (worldd's
-	// health watchdog) learns of a crash-freeze the moment it happens
-	// instead of on its next poll. The hook must not block.
-	crashHook atomic.Pointer[func()]
 }
 
-// gaugeSourceBox wraps a gauge function so the atomic pointer has a
-// concrete element type.
-type gaugeSourceBox struct {
-	fn func() []telemetry.NamedCounter
+// facilities is the kernel's instrumentation and control set. Each
+// field is nil when its facility is off.
+type facilities struct {
+	// tracer receives kernel-level file-reference events — the
+	// "monolithic, compiled-into-the-kernel" implementation that the
+	// paper's §3.5.3 compares against the dfstrace agent.
+	tracer Tracer
+
+	// tel receives every syscall's latency, per-layer time attribution,
+	// and flight-recorder events.
+	tel *telemetry.Registry
+
+	// inj is consulted on the kernel leg of every dispatch — below all
+	// emulation layers — and may satisfy or rewrite the call (fault
+	// injection).
+	inj Injector
+
+	// sup supervises every agent upcall: panic containment, per-layer
+	// circuit breakers, and optional deadlines (supervise.go). Only the
+	// interposed leg of dispatch consults it.
+	sup *Supervisor
+
+	// trc is the causal span tracer: sampled syscalls open root spans,
+	// interested layer upcalls and the kernel leg open child spans, and
+	// causal edges (fork, exec, pipe, signal, wait) connect spans across
+	// processes (internal/trace, DESIGN.md §11).
+	trc *trace.Tracer
+
+	// gauges contribute host-side gauge rows (a warm pool's hit/miss/size
+	// gauges, a health watchdog's state rows) to the telemetry snapshot
+	// alongside the kernel's own cache gauges, in installation order.
+	gauges []func() []telemetry.NamedCounter
+
+	// crashHook is invoked at the top of Crash — before any kernel lock
+	// is taken — so a machine supervisor (worldd's health watchdog)
+	// learns of a crash-freeze the moment it happens instead of on its
+	// next poll. The hook must not block.
+	crashHook func()
+}
+
+// noFacilities is the published set of a kernel with every facility off.
+var noFacilities = &facilities{}
+
+// updateFacilities publishes a copy of the facility set with fn applied.
+func (k *Kernel) updateFacilities(fn func(f *facilities)) {
+	for {
+		old := k.fac.Load()
+		f := *old
+		fn(&f)
+		if k.fac.CompareAndSwap(old, &f) {
+			return
+		}
+	}
+}
+
+// DetachFacilities turns every facility off with one store: tracer,
+// telemetry, injector, supervisor, span tracer, extra gauges and crash
+// hook. A detached supervisor's quarantines are lifted as SetSupervisor(nil)
+// would lift them.
+func (k *Kernel) DetachFacilities() {
+	if old := k.fac.Swap(noFacilities); old.sup != nil {
+		k.republishPlans(nil)
+	}
 }
 
 // Injector is the kernel-side fault injection hook: consulted after all
@@ -123,10 +148,6 @@ type gaugeSourceBox struct {
 type Injector interface {
 	Inject(c sys.Ctx, num int, a sys.Args) (out sys.Args, rv sys.Retval, err sys.Errno, handled bool)
 }
-
-// injectorBox wraps the interface so the atomic pointer has a concrete
-// element type.
-type injectorBox struct{ inj Injector }
 
 // New boots a kernel: an empty filesystem with the standard directory
 // tree and devices, and the given program image registry.
@@ -150,6 +171,7 @@ func newKernel(images *image.Registry) *Kernel {
 		console:  newConsole(),
 		devices:  make(map[uint32]vfs.Device),
 	}
+	k.fac.Store(noFacilities)
 	k.makeDevices()
 	return k
 }
@@ -175,7 +197,7 @@ func (k *Kernel) Console() *Console { return k.console }
 
 // SetTracer installs (or removes, with nil) the kernel-level file tracer.
 func (k *Kernel) SetTracer(t Tracer) {
-	k.tracer.Store(&tracerBox{t: t})
+	k.updateFacilities(func(f *facilities) { f.tracer = t })
 }
 
 // SetTelemetry installs (or removes, with nil) the telemetry registry.
@@ -187,7 +209,7 @@ func (k *Kernel) SetTelemetry(r *telemetry.Registry) {
 	if r != nil {
 		r.SetGaugeSource(k.cacheGauges)
 	}
-	k.tel.Store(r)
+	k.updateFacilities(func(f *facilities) { f.tel = r })
 }
 
 // cacheGauges samples the kernel's caches for telemetry export. The rows
@@ -205,10 +227,11 @@ func (k *Kernel) cacheGauges() []telemetry.NamedCounter {
 		{Name: "exec.image.hit", Value: eh},
 		{Name: "exec.image.miss", Value: em},
 	}
-	if s := k.sup.Load(); s != nil {
-		out = append(out, s.Gauges()...)
+	f := k.fac.Load()
+	if f.sup != nil {
+		out = append(out, f.sup.Gauges()...)
 	}
-	if t := k.trc.Load(); t != nil {
+	if t := f.trc; t != nil {
 		spans, dropped := t.Stats()
 		out = append(out,
 			telemetry.NamedCounter{Name: "trace.spans", Value: spans},
@@ -216,73 +239,49 @@ func (k *Kernel) cacheGauges() []telemetry.NamedCounter {
 			telemetry.NamedCounter{Name: "trace.sample_ppm", Value: uint64(t.SampleRate() * 1e6)},
 		)
 	}
-	if g := k.extraGauges.Load(); g != nil {
-		out = append(out, g.fn()...)
+	for _, g := range f.gauges {
+		out = append(out, g()...)
 	}
 	return out
 }
 
-// SetExtraGauges installs (or removes, with nil) an additional gauge
-// source whose rows ride along with the kernel's cache gauges in every
-// telemetry snapshot. One source; a second call replaces the first.
-func (k *Kernel) SetExtraGauges(fn func() []telemetry.NamedCounter) {
-	if fn == nil {
-		k.extraGauges.Store(nil)
-		return
-	}
-	k.extraGauges.Store(&gaugeSourceBox{fn: fn})
-}
-
-// AddExtraGauges chains fn onto the current extra gauge source instead
-// of replacing it, so independent facilities (a warm pool's gauges, a
-// health watchdog's state rows) can each contribute without knowing
-// about the other. Rows append in installation order. A nil fn is a
-// no-op; SetExtraGauges(nil) still clears the whole chain.
+// AddExtraGauges adds a gauge source whose rows ride along with the
+// kernel's cache gauges in every telemetry snapshot. Sources accumulate,
+// so independent facilities (a warm pool's gauges, a health watchdog's
+// state rows) can each contribute without knowing about the other; rows
+// append in installation order. A nil fn is a no-op; DetachFacilities
+// removes them all.
 func (k *Kernel) AddExtraGauges(fn func() []telemetry.NamedCounter) {
 	if fn == nil {
 		return
 	}
-	for {
-		old := k.extraGauges.Load()
-		combined := fn
-		if old != nil {
-			prev := old.fn
-			combined = func() []telemetry.NamedCounter {
-				return append(prev(), fn()...)
-			}
-		}
-		if k.extraGauges.CompareAndSwap(old, &gaugeSourceBox{fn: combined}) {
-			return
-		}
-	}
+	k.updateFacilities(func(f *facilities) {
+		// Cap the slice so append copies: a published set is immutable.
+		f.gauges = append(f.gauges[:len(f.gauges):len(f.gauges)], fn)
+	})
 }
 
 // Telemetry returns the installed registry, or nil.
-func (k *Kernel) Telemetry() *telemetry.Registry {
-	return k.tel.Load()
-}
+func (k *Kernel) Telemetry() *telemetry.Registry { return k.fac.Load().tel }
 
 // SetSpanTracer installs (or removes, with nil) the causal span tracer.
 // Toggling is safe while processes run; calls in flight when the tracer
 // changes may be only partially recorded.
 func (k *Kernel) SetSpanTracer(t *trace.Tracer) {
-	k.trc.Store(t)
+	k.updateFacilities(func(f *facilities) { f.trc = t })
 }
 
 // SpanTracer returns the installed span tracer, or nil.
-func (k *Kernel) SpanTracer() *trace.Tracer {
-	return k.trc.Load()
-}
+func (k *Kernel) SpanTracer() *trace.Tracer { return k.fac.Load().trc }
 
 // SetInjector installs (or removes, with nil) the kernel-side fault
 // injector. Toggling is safe while processes run.
 func (k *Kernel) SetInjector(in Injector) {
-	if in == nil {
-		k.inj.Store(nil)
-		return
-	}
-	k.inj.Store(&injectorBox{inj: in})
+	k.updateFacilities(func(f *facilities) { f.inj = in })
 }
+
+// Injector returns the installed fault injector, or nil.
+func (k *Kernel) Injector() Injector { return k.fac.Load().inj }
 
 // lookupDevice finds the driver registered for a device number. The
 // device table is immutable after boot, so no lock is needed.

@@ -32,7 +32,7 @@ func (d *metricsDev) Read(p []byte, off int64) (int, sys.Errno) {
 	defer d.mu.Unlock()
 	if off == 0 || d.render == nil {
 		var buf bytes.Buffer
-		if r := d.k.tel.Load(); r != nil {
+		if r := d.k.fac.Load().tel; r != nil {
 			snap := r.Snapshot()
 			snap.Flight = nil // counters window; flight dumps are host-side
 			snap.WriteText(&buf)

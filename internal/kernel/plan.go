@@ -70,7 +70,7 @@ func compilePlan(p *Proc, layers []*EmuLayer) *dispatchPlan {
 		return pl // bitmap can't cover the stack; dispatch walks Wants
 	}
 	pl.interest = new([sys.MaxSyscall]uint32)
-	sup := p.k.sup.Load()
+	sup := p.k.fac.Load().sup
 	for i, l := range layers {
 		if sup != nil && sup.quarantined(l) {
 			// A quarantined layer stays in the stack (indices and Down

@@ -450,7 +450,7 @@ type LayerCtx struct {
 // interested layers, or the kernel. This is how an agent performs a system
 // call that would otherwise be intercepted by itself.
 func (lc LayerCtx) Down(num int, a sys.Args) (sys.Retval, sys.Errno) {
-	return lc.Proc.dispatch(lc.plan, lc.layer, num, a)
+	return lc.Proc.dispatch(lc.k.fac.Load(), lc.plan, lc.layer, num, a)
 }
 
 // DownSignal continues signal interposition above this layer, returning the
@@ -462,7 +462,9 @@ func (lc LayerCtx) DownSignal(sig, code int) int {
 
 // Syscall implements image.Proc: a system call from user mode. It enters
 // the topmost interested instance of the system interface, then delivers
-// any pending signals before returning to user code.
+// any pending signals before returning to user code. With telemetry and
+// span tracing both off it runs the plain dispatch; otherwise the
+// instrumented top half, syscallTraced.
 func (p *Proc) Syscall(num int, a sys.Args) (sys.Retval, sys.Errno) {
 	addUint32(&p.nsyscalls, 1)
 	p.emuCursor = 0 // agent scratch is per-call
@@ -476,56 +478,36 @@ func (p *Proc) Syscall(num int, a sys.Args) (sys.Retval, sys.Errno) {
 		p.curSpan.Store(0)
 	}
 	pl := p.plan.Load()
-	if t := p.k.trc.Load(); t != nil {
-		return p.syscallTraced(t, pl, num, a)
+	f := p.k.fac.Load()
+	if f.tel != nil || f.trc != nil {
+		return p.syscallTraced(f, pl, num, a)
 	}
-	if r := p.k.tel.Load(); r != nil {
-		return p.syscallTimed(r, pl, num, a)
-	}
-	rv, err := p.dispatch(pl, len(pl.layers), num, a)
+	rv, err := p.dispatch(f, pl, len(pl.layers), num, a)
 	p.checkSignals()
 	return rv, err
 }
 
-// syscallTimed is the telemetry-enabled top half of Syscall: it times the
-// call end to end for the per-syscall histogram and appends a flight
-// event. Per-layer attribution happens frame by frame in dispatch. Calls
-// that unwind instead of returning (exit, successful execve) are recorded
-// at entry with unknown duration, since no code runs after them.
-func (p *Proc) syscallTimed(r *telemetry.Registry, pl *dispatchPlan, num int, a sys.Args) (sys.Retval, sys.Errno) {
-	unwinds := num == sys.SYS_exit || num == sys.SYS_execve
-	if unwinds {
-		r.RecordEvent(p.pid, num, 0, -1)
-	}
-	start := time.Now()
-	rv, err := p.dispatch(pl, len(pl.layers), num, a)
-	d := time.Since(start)
-	r.RecordSyscall(num, d, err != sys.OK)
-	if !unwinds {
-		r.RecordEvent(p.pid, num, int32(err), d)
-	}
-	p.checkSignals()
-	return rv, err
-}
-
-// syscallTraced is the span-tracing top half of Syscall, used whenever a
-// span tracer is installed. It folds in syscallTimed's telemetry duties
-// so the two facilities share one pair of clock reads. A head-sampled
-// call opens a root span whose Parent is the pending causal edge (fork,
-// exec, or signal delivery) and whose Link is filled by cross-process
-// edges observed during dispatch (pipe read, reaped child). Unsampled
-// calls may still be retained by tail rules when slow or failed; when
-// neither facility needs a duration, the clock is never read. Calls that
-// unwind instead of returning (exit, successful execve) record their
-// span at entry with unknown duration, and the span is left as the
-// causal parent so the post-exec image's first call chains under it.
-func (p *Proc) syscallTraced(t *trace.Tracer, pl *dispatchPlan, num int, a sys.Args) (sys.Retval, sys.Errno) {
-	r := p.k.tel.Load()
+// syscallTraced is the instrumented top half of Syscall, used whenever
+// telemetry or span tracing is on; the two share one pair of clock
+// reads. With telemetry on it times the call end to end for the
+// per-syscall histogram and appends a flight event; per-layer
+// attribution happens frame by frame in dispatch. With a span tracer
+// installed, a head-sampled call opens a root span whose Parent is the
+// pending causal edge (fork, exec, or signal delivery) and whose Link is
+// filled by cross-process edges observed during dispatch (pipe read,
+// reaped child). Unsampled calls may still be retained by tail rules
+// when slow or failed; when nothing needs a duration, the clock is never
+// read. Calls that unwind instead of returning (exit, successful execve)
+// are recorded at entry with unknown duration, and their span is left
+// as the causal parent so the post-exec image's first call chains under
+// it.
+func (p *Proc) syscallTraced(f *facilities, pl *dispatchPlan, num int, a sys.Args) (sys.Retval, sys.Errno) {
+	r, t := f.tel, f.trc
 	unwinds := num == sys.SYS_exit || num == sys.SYS_execve
 	if unwinds && r != nil {
 		r.RecordEvent(p.pid, num, 0, -1)
 	}
-	sampled := t.Sampled(&p.trcRand, p.pid)
+	sampled := t != nil && t.Sampled(&p.trcRand, p.pid)
 	var span trace.Span
 	if sampled {
 		if p.traceID.Load() == 0 {
@@ -550,12 +532,13 @@ func (p *Proc) syscallTraced(t *trace.Tracer, pl *dispatchPlan, num int, a sys.A
 			p.causeSpan.Store(span.ID)
 		}
 	}
-	needClock := r != nil || (sampled && !unwinds) || t.TailEnabled()
+	tail := t != nil && t.TailEnabled()
+	needClock := r != nil || (sampled && !unwinds) || tail
 	var start time.Time
 	if needClock {
 		start = time.Now()
 	}
-	rv, err := p.dispatch(pl, len(pl.layers), num, a)
+	rv, err := p.dispatch(f, pl, len(pl.layers), num, a)
 	var d time.Duration
 	if needClock {
 		d = time.Since(start)
@@ -579,7 +562,7 @@ func (p *Proc) syscallTraced(t *trace.Tracer, pl *dispatchPlan, num int, a sys.A
 			span.Link = p.curLink.Load()
 			t.Record(span)
 		}
-	} else if !unwinds && t.Tail(d, err != sys.OK) {
+	} else if tail && !unwinds && t.Tail(d, err != sys.OK) {
 		// Tail retention: a slow or failed call that head sampling skipped
 		// is recorded as a root-only span.
 		if p.traceID.Load() == 0 {
@@ -599,9 +582,11 @@ func (p *Proc) syscallTraced(t *trace.Tracer, pl *dispatchPlan, num int, a sys.A
 		})
 		p.causeSpan.Store(0)
 	}
-	p.curSpan.Store(0)
-	p.spanParent.Store(0)
-	p.curLink.Store(0)
+	if t != nil {
+		p.curSpan.Store(0)
+		p.spanParent.Store(0)
+		p.curLink.Store(0)
+	}
 	p.checkSignals()
 	return rv, err
 }
@@ -655,47 +640,47 @@ func (p *Proc) EmuBytes(b []byte) (sys.Word, sys.Errno) {
 }
 
 // dispatch runs the system call at the highest interested layer strictly
-// below index `below` (layers are indexed bottom=0). The kernel is below
-// layer 0. Uninterested layers are skipped entirely — interception is
-// pay-per-use: with the precompiled interest bitmap, a call no layer
-// registered for costs one array read before going straight to the
-// kernel, regardless of stack depth.
-func (p *Proc) dispatch(pl *dispatchPlan, below int, num int, a sys.Args) (sys.Retval, sys.Errno) {
+// below index `below` (layers are indexed bottom=0), under facility set
+// f. The kernel is below layer 0. Uninterested layers are skipped
+// entirely — interception is pay-per-use: with the precompiled interest
+// bitmap, a call no layer registered for costs one array read before
+// going straight to the kernel, regardless of stack depth.
+func (p *Proc) dispatch(f *facilities, pl *dispatchPlan, below int, num int, a sys.Args) (sys.Retval, sys.Errno) {
 	if below > 0 {
+		i := -1
 		if pl.interest != nil {
 			if mask := pl.interestBelow(below, num); mask != 0 {
-				i := topInterested(mask)
-				if s := p.k.sup.Load(); s != nil {
-					return s.call(p, pl, i, num, a)
-				}
-				return p.invokeLayer(pl, i, num, a)
+				i = topInterested(mask)
 			}
 		} else {
 			// Stack too deep for the bitmap: linear interest walk.
-			for i := below - 1; i >= 0; i-- {
-				if pl.layers[i].Wants(num) {
-					if s := p.k.sup.Load(); s != nil {
-						return s.call(p, pl, i, num, a)
-					}
-					return p.invokeLayer(pl, i, num, a)
+			for j := below - 1; j >= 0; j-- {
+				if pl.layers[j].Wants(num) {
+					i = j
+					break
 				}
 			}
 		}
+		if i >= 0 {
+			if f.sup != nil {
+				return f.sup.call(p, pl, i, num, a)
+			}
+			return p.invokeLayer(f, pl, i, num, a)
+		}
 	}
-	// Kernel-side fault injection sits below every emulation layer; while
-	// disabled it costs only this atomic load.
-	if b := p.k.inj.Load(); b != nil {
+	// Kernel-side fault injection sits below every emulation layer.
+	if f.inj != nil {
 		var (
 			rv      sys.Retval
 			err     sys.Errno
 			handled bool
 		)
-		if a, rv, err, handled = b.inj.Inject(p, num, a); handled {
+		if a, rv, err, handled = f.inj.Inject(p, num, a); handled {
 			return rv, err
 		}
 	}
-	if r := p.k.tel.Load(); r != nil || p.curSpan.Load() != 0 {
-		return p.kernelCallTraced(r, num, a)
+	if f.tel != nil || p.curSpan.Load() != 0 {
+		return p.callTraced(f, p.k, p, 0, "kernel", num, a)
 	}
 	return p.k.Syscall(p, num, a)
 }
@@ -705,45 +690,46 @@ func (p *Proc) dispatch(pl *dispatchPlan, below int, num int, a sys.Args) (sys.R
 // a direct handler call. The supervisor's containment paths route
 // through it too, so supervised upcalls get the same per-call
 // attribution and spans as bare dispatch.
-func (p *Proc) invokeLayer(pl *dispatchPlan, i, num int, a sys.Args) (sys.Retval, sys.Errno) {
-	if r := p.k.tel.Load(); r != nil || p.curSpan.Load() != 0 {
-		return p.layerCallTraced(r, pl, i, num, a)
+func (p *Proc) invokeLayer(f *facilities, pl *dispatchPlan, i, num int, a sys.Args) (sys.Retval, sys.Errno) {
+	l := pl.layers[i]
+	if f.tel != nil || p.curSpan.Load() != 0 {
+		return p.callTraced(f, l.Handler, pl.ctxs[i], 1+i, l.Name, num, a)
 	}
-	return pl.layers[i].Handler.Syscall(pl.ctxs[i], num, a)
+	return l.Handler.Syscall(pl.ctxs[i], num, a)
 }
 
-// layerCallTraced runs layer i's handler with instrumentation. When a
-// registry is installed (r may be nil) it attributes the layer's self
-// time — wall time minus the time nested downcalls spent in lower
-// instances (accumulated into p.telChild by the frames below this one).
-// When the call in flight carries an open root span, it additionally
-// opens a child span under the innermost open span, so nested Down
-// chains render as nested intervals. If a panic travels through this
-// frame — the exit/exec control-flow unwinds, or an agent bug headed
-// for the supervisor above — the open span is recorded entry-style
-// (Dur=-1) on the way out: downcalls that completed under it (the
-// toolkit's exec emulation reads the image and closes descriptors
+// callTraced runs one instance of the system interface with
+// instrumentation: layer i's handler under its call context (slot 1+i),
+// or the kernel under the process itself (slot 0, "kernel"). With
+// telemetry on it attributes the instance's self time — wall time minus
+// the time nested downcalls spent in lower instances, which the frames
+// below accumulate into p.telChild; the kernel makes no downcalls, so
+// its self time is its wall time. When the call in flight carries an
+// open root span, it also opens a child span under the innermost open
+// span, so nested Down chains render as nested intervals. If a panic
+// travels through this frame — the exit/exec control-flow unwinds, or an
+// agent bug headed for the supervisor above — the open span is recorded
+// entry-style (Dur=-1) on the way out: downcalls that completed under it
+// (the toolkit's exec emulation reads the image and closes descriptors
 // before the final unwinding execve) already reference it as their
 // parent and must not dangle.
-func (p *Proc) layerCallTraced(r *telemetry.Registry, pl *dispatchPlan, i, num int, a sys.Args) (sys.Retval, sys.Errno) {
-	l := pl.layers[i]
+func (p *Proc) callTraced(f *facilities, h sys.Handler, c sys.Ctx, slot int, name string, num int, a sys.Args) (sys.Retval, sys.Errno) {
 	var t *trace.Tracer
 	var span trace.Span
 	var savedParent uint64
-	if p.curSpan.Load() != 0 {
-		if t = p.k.trc.Load(); t != nil {
-			span = trace.Span{
-				Trace:  p.traceID.Load(),
-				ID:     t.NewSpanID(),
-				Parent: p.spanParent.Load(),
-				PID:    int32(p.pid),
-				Num:    int32(num),
-				Layer:  int32(1 + i),
-				Name:   l.Name,
-			}
-			savedParent = p.spanParent.Load()
-			p.spanParent.Store(span.ID)
+	if p.curSpan.Load() != 0 && f.trc != nil {
+		t = f.trc
+		savedParent = p.spanParent.Load()
+		span = trace.Span{
+			Trace:  p.traceID.Load(),
+			ID:     t.NewSpanID(),
+			Parent: savedParent,
+			PID:    int32(p.pid),
+			Num:    int32(num),
+			Layer:  int32(slot), // trace.LayerKernel for the kernel
+			Name:   name,
 		}
+		p.spanParent.Store(span.ID)
 	}
 	saved := p.telChild.Load()
 	p.telChild.Store(0)
@@ -758,67 +744,14 @@ func (p *Proc) layerCallTraced(r *telemetry.Registry, pl *dispatchPlan, i, num i
 			}
 		}()
 	}
-	rv, err := l.Handler.Syscall(pl.ctxs[i], num, a)
+	rv, err := h.Syscall(c, num, a)
 	elapsed := time.Since(start)
-	if r != nil {
-		self := elapsed - time.Duration(p.telChild.Load())
-		if self < 0 {
-			self = 0
-		}
-		r.RecordLayer(1+i, l.Name, self)
+	if f.tel != nil {
+		f.tel.RecordLayer(slot, name, max(elapsed-time.Duration(p.telChild.Load()), 0))
 	}
 	p.telChild.Store(saved + int64(elapsed))
 	if t != nil {
 		p.spanParent.Store(savedParent)
-		span.Start = t.At(start)
-		span.Dur = int64(elapsed)
-		span.Err = int32(err)
-		t.Record(span)
-	}
-	return rv, err
-}
-
-// kernelCallTraced runs the kernel's implementation with
-// instrumentation: self time to the kernel attribution slot when a
-// registry is installed (r may be nil), and a kernel-leg child span when
-// the call in flight carries an open root span. The kernel makes no
-// downcalls, so its self time is its wall time.
-func (p *Proc) kernelCallTraced(r *telemetry.Registry, num int, a sys.Args) (sys.Retval, sys.Errno) {
-	var t *trace.Tracer
-	var span trace.Span
-	if p.curSpan.Load() != 0 {
-		if t = p.k.trc.Load(); t != nil {
-			span = trace.Span{
-				Trace:  p.traceID.Load(),
-				ID:     t.NewSpanID(),
-				Parent: p.spanParent.Load(),
-				PID:    int32(p.pid),
-				Num:    int32(num),
-				Layer:  trace.LayerKernel,
-			}
-		}
-	}
-	saved := p.telChild.Load()
-	start := time.Now()
-	if t != nil {
-		// Exit and exec unwind through here; record the kernel leg
-		// entry-style so the trace shows where the call went.
-		defer func() {
-			if rec := recover(); rec != nil {
-				span.Start = t.At(start)
-				span.Dur = -1
-				t.Record(span)
-				panic(rec)
-			}
-		}()
-	}
-	rv, err := p.k.Syscall(p, num, a)
-	elapsed := time.Since(start)
-	if r != nil {
-		r.RecordLayer(0, "kernel", elapsed)
-	}
-	p.telChild.Store(saved + int64(elapsed))
-	if t != nil {
 		span.Start = t.At(start)
 		span.Dur = int64(elapsed)
 		span.Err = int32(err)
@@ -835,9 +768,7 @@ func (p *Proc) KernelSyscall(num int, a sys.Args) (sys.Retval, sys.Errno) {
 
 // Telemetry exposes the kernel's registry to agents through their call
 // context (nil when telemetry is off).
-func (p *Proc) Telemetry() *telemetry.Registry {
-	return p.k.tel.Load()
-}
+func (p *Proc) Telemetry() *telemetry.Registry { return p.k.fac.Load().tel }
 
 // unwind values carried by panic to end or redirect a process goroutine.
 type exitUnwind struct{ status sys.Word }

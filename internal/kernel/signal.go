@@ -169,7 +169,7 @@ func (p *Proc) checkSignalsSlow() {
 		// and the delivery becomes the causal parent of whatever the
 		// receiver does next (e.g. a handler's first system call).
 		if causeSpan != 0 {
-			if t := p.k.trc.Load(); t != nil {
+			if t := p.k.fac.Load().trc; t != nil {
 				if p.traceID.Load() == 0 {
 					p.traceID.Store(causeTrace)
 				}

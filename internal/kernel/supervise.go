@@ -13,9 +13,8 @@ package kernel
 // layer if it behaves.
 //
 // Everything is pay-per-use. With no supervisor installed the dispatch
-// fast path is unchanged (the uninterposed leg stays one atomic plan
-// load; the interposed leg adds one atomic supervisor load, exactly like
-// the telemetry and injector hooks). Breaker state surfaces as
+// fast path is unchanged: the supervisor is one field of the kernel's
+// facilities, checked only on the interposed leg. Breaker state surfaces as
 // supervise.layer.* gauges in the telemetry snapshot and /dev/metrics.
 //
 // Lock ordering (extends DESIGN.md §8): the supervisor's registry lock
@@ -268,10 +267,10 @@ func (s *Supervisor) call(p *Proc, pl *dispatchPlan, i, num int, a sys.Args) (sy
 		// republished without its interest bits at trip time, so this
 		// path only runs for calls that entered under the old plan (or
 		// for stacks too deep for the compiled bitmap).
-		return p.dispatch(pl, i, num, a)
+		return p.dispatch(p.k.fac.Load(), pl, i, num, a)
 	case breakerHalfOpen:
 		if !b.probing.CompareAndSwap(false, true) {
-			return p.dispatch(pl, i, num, a)
+			return p.dispatch(p.k.fac.Load(), pl, i, num, a)
 		}
 		defer b.probing.Store(false)
 		rv, err, failed := s.run(p, pl, i, num, a, b)
@@ -292,7 +291,7 @@ func (s *Supervisor) call(p *Proc, pl *dispatchPlan, i, num int, a sys.Args) (sy
 // the configured mode prescribes.
 func (s *Supervisor) failResult(p *Proc, pl *dispatchPlan, i, num int, a sys.Args) (sys.Retval, sys.Errno) {
 	if s.cfg.Mode == SuperviseBypass {
-		return p.dispatch(pl, i, num, a)
+		return p.dispatch(p.k.fac.Load(), pl, i, num, a)
 	}
 	return sys.Retval{}, s.errno
 }
@@ -338,7 +337,7 @@ func (p *Proc) runLayerContained(pl *dispatchPlan, i, num int, a sys.Args) (rv s
 			pan = &panicInfo{val: r, stack: captureStack()}
 		}
 	}()
-	rv, err = p.invokeLayer(pl, i, num, a)
+	rv, err = p.invokeLayer(p.k.fac.Load(), pl, i, num, a)
 	return
 }
 
@@ -369,7 +368,7 @@ func (s *Supervisor) runDeadline(p *Proc, pl *dispatchPlan, i, num int, a sys.Ar
 				o.pan = &panicInfo{val: r, stack: captureStack()}
 			}
 		}()
-		o.rv, o.err = p.invokeLayer(pl, i, num, a)
+		o.rv, o.err = p.invokeLayer(p.k.fac.Load(), pl, i, num, a)
 	}()
 	t := time.NewTimer(s.cfg.Deadline)
 	defer t.Stop()
@@ -402,7 +401,7 @@ func (s *Supervisor) noteFailure(p *Proc, b *breaker, kind string, pan *panicInf
 		b.overruns.Add(1)
 	}
 	b.contained.Add(1)
-	if r := s.k.tel.Load(); r != nil {
+	if r := s.k.fac.Load().tel; r != nil {
 		r.Counter("supervise.contained").Add(1)
 		r.RecordFileEvent(p.pid, "supervise:"+kind, b.name, trimMsg(msg), -1, int32(s.errno))
 	}
@@ -453,7 +452,7 @@ func (s *Supervisor) quarantine(p *Proc, b *breaker, from int32) {
 	stack := b.lastStack
 	b.mu.Unlock()
 	s.k.republishPlans(b.layer)
-	if r := s.k.tel.Load(); r != nil {
+	if r := s.k.fac.Load().tel; r != nil {
 		r.Counter("supervise.trips").Add(1)
 		pid := 0
 		if p != nil {
@@ -475,7 +474,7 @@ func (s *Supervisor) halfOpen(b *breaker) {
 	if !b.state.CompareAndSwap(breakerOpen, breakerHalfOpen) {
 		return
 	}
-	if r := s.k.tel.Load(); r != nil {
+	if r := s.k.fac.Load().tel; r != nil {
 		r.RecordFileEvent(0, "supervise:half-open", b.name, "", -1, 0)
 	}
 	s.k.republishPlans(b.layer)
@@ -493,7 +492,7 @@ func (s *Supervisor) settleProbe(p *Proc, b *breaker, failed bool) {
 		b.mu.Lock()
 		b.failures = nil
 		b.mu.Unlock()
-		if r := s.k.tel.Load(); r != nil {
+		if r := s.k.fac.Load().tel; r != nil {
 			r.RecordFileEvent(p.pid, "supervise:close", b.name, "", -1, 0)
 		}
 	}
@@ -512,18 +511,14 @@ func trimMsg(s string) string {
 // Removal republishes every process's dispatch plan so layers that were
 // quarantined regain their interest bits.
 func (k *Kernel) SetSupervisor(s *Supervisor) {
+	k.updateFacilities(func(f *facilities) { f.sup = s })
 	if s == nil {
-		k.sup.Store(nil)
 		k.republishPlans(nil)
-		return
 	}
-	k.sup.Store(s)
 }
 
 // Supervisor returns the installed supervisor, or nil.
-func (k *Kernel) Supervisor() *Supervisor {
-	return k.sup.Load()
-}
+func (k *Kernel) Supervisor() *Supervisor { return k.fac.Load().sup }
 
 // republishPlans recompiles and republishes the dispatch plan of every
 // process whose stack contains l (every process, when l is nil). The

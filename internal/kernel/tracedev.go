@@ -39,7 +39,7 @@ func (d *traceDev) Read(p []byte, off int64) (int, sys.Errno) {
 	defer d.mu.Unlock()
 	if off == 0 || d.render == nil {
 		var buf bytes.Buffer
-		if t := d.k.trc.Load(); t != nil {
+		if t := d.k.fac.Load().trc; t != nil {
 			if err := t.WriteChrome(&buf); err != nil {
 				return 0, sys.EIO
 			}
@@ -55,7 +55,7 @@ func (d *traceDev) Read(p []byte, off int64) (int, sys.Errno) {
 }
 
 func (d *traceDev) Write(p []byte, off int64) (int, sys.Errno) {
-	t := d.k.trc.Load()
+	t := d.k.fac.Load().trc
 	if t == nil {
 		return 0, sys.ENXIO // no tracer behind the device
 	}

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"interpose/internal/ring"
 	"interpose/internal/sys"
 )
 
@@ -76,14 +77,37 @@ type Registry struct {
 	// exported counter list without per-event recording cost.
 	gauges atomic.Pointer[func() []NamedCounter]
 
-	ring ring
+	flight ring.Ring[Event]
 }
+
+// Event is one flight-recorder entry. Num >= 0 is a system call event
+// (Dur is its wall time, or -1 when recorded at entry for calls that do
+// not return); Num == -1 is a kernel file-reference event carrying Op and
+// the pathname arguments. Events are fixed-size values: recording one
+// copies it into a preallocated slot and allocates nothing.
+type Event struct {
+	Seq   uint64 `json:"seq"`
+	Nanos int64  `json:"t_ns"` // since registry creation
+	PID   int32  `json:"pid"`
+	Num   int32  `json:"num"` // syscall number, -1 for file events
+	Err   int32  `json:"err"`
+	Dur   int64  `json:"dur_ns"` // -1 when unknown
+	FD    int32  `json:"fd,omitempty"`
+	Op    string `json:"op,omitempty"`
+	Path  string `json:"path,omitempty"`
+	Path2 string `json:"path2,omitempty"`
+}
+
+// defaultRingSize is the total flight-ring capacity (events).
+const defaultRingSize = 1024
+
+func eventSeq(e *Event) *uint64 { return &e.Seq }
 
 // NewRegistry creates an empty registry with the default flight-ring
 // capacity.
 func NewRegistry() *Registry {
 	r := &Registry{start: time.Now(), named: make(map[string]*Counter)}
-	r.ring.init(defaultRingSize)
+	r.flight.Init(defaultRingSize, eventSeq)
 	kernel := "kernel"
 	r.layers[0].name.Store(&kernel)
 	return r
@@ -244,7 +268,7 @@ func (r *Registry) RecordLayer(layer int, name string, self time.Duration) {
 // RecordEvent appends a system call event to the flight ring. dur < 0
 // marks a call recorded at entry (one that will not return, like exit).
 func (r *Registry) RecordEvent(pid, num int, errno int32, dur time.Duration) {
-	r.ring.record(Event{
+	r.flight.Record(Event{
 		Nanos: r.sinceStart(),
 		PID:   int32(pid),
 		Num:   int32(num),
@@ -256,7 +280,7 @@ func (r *Registry) RecordEvent(pid, num int, errno int32, dur time.Duration) {
 // RecordFileEvent appends a kernel file-reference event (the kernel
 // tracer spine) to the flight ring.
 func (r *Registry) RecordFileEvent(pid int, op, path, path2 string, fd int, errno int32) {
-	r.ring.record(Event{
+	r.flight.Record(Event{
 		Nanos: r.sinceStart(),
 		PID:   int32(pid),
 		Num:   -1,
@@ -270,4 +294,4 @@ func (r *Registry) RecordFileEvent(pid int, op, path, path2 string, fd int, errn
 }
 
 // FlightEvents returns the ring's surviving events, oldest first.
-func (r *Registry) FlightEvents() []Event { return r.ring.snapshot() }
+func (r *Registry) FlightEvents() []Event { return r.flight.Snapshot() }

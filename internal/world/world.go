@@ -667,10 +667,7 @@ func (w *World) Close() error {
 		}
 	}
 	w.k.SetJournal(nil)
-	w.k.SetInjector(nil)
-	w.k.SetSupervisor(nil)
-	w.k.SetSpanTracer(nil)
-	w.k.SetTelemetry(nil)
+	w.k.DetachFacilities()
 	w.k.Console().Mirror(nil)
 	w.stack, w.insts = nil, nil
 	return firstErr

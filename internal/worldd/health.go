@@ -378,10 +378,14 @@ func (e *entry) probeOK(w *world.World) {
 
 // declareDead moves a world to dead (idempotent — late signals for an
 // already-dead or parked world are dropped), condemns it so in-flight
-// and queued sessions fail fast, and spawns the recovery loop. Safe
-// from any goroutine, including guest syscall goroutines via the crash
-// hook: it takes no locks.
+// and queued sessions fail fast, and spawns the recovery loop. Signals
+// for a deleted entry are dropped too: a probe racing DELETE fails with
+// the close, and that is not a death. Safe from any goroutine, including
+// guest syscall goroutines via the crash hook: it takes no locks.
 func (s *Server) declareDead(e *entry, reason string) {
+	if e.gone.Load() {
+		return
+	}
 	for {
 		st := e.health.Load()
 		if st == healthDead || st == healthParked {
@@ -440,7 +444,7 @@ func (s *Server) recoverLoop(e *entry) {
 			}
 		}
 		e.mu.Lock()
-		if e.gone || s.isDraining() {
+		if e.gone.Load() || s.isDraining() {
 			e.mu.Unlock()
 			return
 		}

@@ -105,8 +105,12 @@ type entry struct {
 	Name    string
 	Created time.Time
 
-	mu   sync.Mutex // serializes rebuild / delete / shutdown
-	gone bool       // set by DELETE and Shutdown; recovery stops
+	mu sync.Mutex // serializes rebuild / delete / shutdown
+
+	// gone is set (under mu) by DELETE and Shutdown before the world
+	// closes: recovery stops, and health signals for the entry — a
+	// probe that lost the race with the close — are dropped.
+	gone atomic.Bool
 
 	w       atomic.Pointer[world.World]
 	spec    world.Spec  // sanitized boot spec, reused by recovery rebuilds
@@ -377,7 +381,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	for _, e := range victims {
 		e.mu.Lock()
-		e.gone = true
+		e.gone.Store(true)
 		wd := e.w.Load()
 		e.mu.Unlock()
 		if wd != nil {
@@ -804,7 +808,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	// between table removal and here gets 409, never a second writer on
 	// a still-open file.
 	e.mu.Lock()
-	e.gone = true
+	e.gone.Store(true)
 	wd := e.w.Load()
 	e.mu.Unlock()
 	var err error
