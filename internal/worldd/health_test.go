@@ -419,7 +419,8 @@ func TestStrictDecoding(t *testing.T) {
 // TestMetricsUnderStorm: GET /1.0/metrics stays coherent while worlds
 // are created, exercised, and deleted underneath it — every response
 // decodes, closed never exceeds created, and the health and pools
-// sections are present.
+// sections are present. Run with -race: the scrape reads the telemetry
+// tenants' registries in place while their sessions record.
 func TestMetricsUnderStorm(t *testing.T) {
 	c := testServerCfg(t, worldd.Config{Health: fastHealth()})
 
@@ -459,9 +460,12 @@ func TestMetricsUnderStorm(t *testing.T) {
 		go func(tn int) {
 			defer wg.Done()
 			for i := 0; i < cycles; i++ {
-				spec := world.Spec{Name: fmt.Sprintf("storm%d", tn)}
+				// Half the storm is pooled (the pools section must show up)
+				// and half carries telemetry, one of each kind, so the
+				// scrape reads live registries while sessions record.
+				spec := world.Spec{Name: fmt.Sprintf("storm%d", tn), Telemetry: tn < tenants/2}
 				if tn%2 == 0 {
-					spec.Pool = 2 // half the storm is pooled: the pools section must show up
+					spec.Pool = 2
 				}
 				var info worldd.Info
 				if st := c.do("POST", "/1.0/worlds", spec, &info); st != http.StatusCreated {

@@ -1,7 +1,9 @@
 package worldd_test
 
 import (
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"interpose/internal/world"
@@ -91,6 +93,49 @@ func TestPooledMetrics(t *testing.T) {
 	}
 	if len(m.Pools) != 2 {
 		t.Fatalf("pools after three tenants: %d, want 2", len(m.Pools))
+	}
+}
+
+// TestFleetMetricsDropsSharedGauges: every member of a pool carries its
+// pool's gauges, and every adopted world a health enum, in its own
+// telemetry. Summed across the fleet they would count one pool three
+// times and add enums, so the fleet view drops those rows (its pools and
+// health fields carry them once) while each tenant's /dev/metrics keeps
+// them.
+func TestFleetMetricsDropsSharedGauges(t *testing.T) {
+	c := testServer(t)
+	var ids []string
+	for i := 0; i < 3; i++ {
+		id := c.create(world.Spec{Name: fmt.Sprintf("member%d", i), Pool: 2, Telemetry: true})
+		if res := c.exec(id, "echo", "hi"); res.Status != 0 {
+			t.Fatalf("echo in %s: status %d", id, res.Status)
+		}
+		ids = append(ids, id)
+	}
+
+	var m worldd.Metrics
+	if st := c.do("GET", "/1.0/metrics", nil, &m); st != http.StatusOK {
+		t.Fatalf("metrics: status %d", st)
+	}
+	if len(m.Pools) != 1 || m.Pools[0].Hits+m.Pools[0].Misses != 3 {
+		t.Fatalf("pools = %+v, want one pool with 3 acquires", m.Pools)
+	}
+	var dentryHits bool
+	for _, row := range m.Telemetry.Counters {
+		if strings.HasPrefix(row.Name, "pool.") || strings.HasPrefix(row.Name, "health.") {
+			t.Errorf("fleet telemetry sums per-world copy of %s = %d", row.Name, row.Value)
+		}
+		dentryHits = dentryHits || row.Name == "vfs.dentry.hit"
+	}
+	if !dentryHits {
+		t.Fatalf("fleet telemetry lost the additive gauge rows: %+v", m.Telemetry.Counters)
+	}
+
+	out := c.exec(ids[0], "cat", "/dev/metrics").Output
+	for _, want := range []string{"pool.hit", "pool.size", "health.state"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("tenant /dev/metrics lacks %s:\n%s", want, out)
+		}
 	}
 }
 

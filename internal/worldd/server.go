@@ -53,6 +53,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -847,15 +848,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Slice(pools, func(i, j int) bool { return pools[i].Name < pools[j].Name })
 
-	// Per-world snapshots merge into one fleet view; worlds without a
-	// telemetry registry still count, they just contribute no rows.
-	var snaps []telemetry.Snapshot
+	// Live registries merge in place into one fleet view. Only a
+	// telemetry spec boots (or rebuilds) a world with a registry, so the
+	// other worlds count without their World being touched.
+	var regs []*telemetry.Registry
 	health := make(map[string]int)
 	for _, e := range entries {
 		health[healthName(e.health.Load())]++
+		if !e.spec.Telemetry {
+			continue
+		}
 		if wd := e.w.Load(); wd != nil {
 			if reg := wd.Telemetry(); reg != nil {
-				snaps = append(snaps, reg.Snapshot())
+				regs = append(regs, reg)
 			}
 		}
 	}
@@ -881,8 +886,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ProbeFails: s.probeFails.Load(),
 		Health:     health,
 		Pools:      pools,
-		Telemetry:  telemetry.Merge(snaps),
+		Telemetry:  fleetTelemetry(regs),
 	})
+}
+
+// fleetTelemetry merges the fleet's registries and drops the rows that
+// do not add across worlds: every member of a pool reports that pool's
+// pool.* gauges, and health.state is an enum. The fleet view carries
+// both in its own pools, health and recoveries fields; a tenant's own
+// /dev/metrics keeps them.
+func fleetTelemetry(regs []*telemetry.Registry) telemetry.Snapshot {
+	t := telemetry.Merge(regs)
+	t.Counters = slices.DeleteFunc(t.Counters, func(c telemetry.NamedCounter) bool {
+		return strings.HasPrefix(c.Name, "pool.") || strings.HasPrefix(c.Name, "health.")
+	})
+	return t
 }
 
 // Worlds reports the current table size (for tests and the drain log).
