@@ -9,7 +9,7 @@
 //
 // plus ablations of the design choices DESIGN.md calls out. Table 3-1 is
 // static analysis, regenerated by TestTable31AgentSizes below and by
-// cmd/agentsize. Absolute times are not comparable to the paper's 1990s
+// `experiments -table 3-1`. Absolute times are not comparable to the paper's 1990s
 // hardware; the *shape* (who is slower, by roughly what factor) is what
 // these reproduce — see EXPERIMENTS.md.
 package interpose_test
@@ -346,25 +346,28 @@ func BenchmarkFaultInjector_Enabled(b *testing.B)  { benchFaultInjector(b, true)
 // agent's code is dwarfed by the toolkit's; trace's agent-specific code is
 // proportional to the interface size; union reuses the larger layer set.
 func TestTable31AgentSizes(t *testing.T) {
-	rows, err := experiments.RunTable31()
+	tables, err := experiments.Select(experiments.Tables(1), "3-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]experiments.Table31Row{}
-	for _, r := range rows {
-		byName[r.Agent] = r
+	res, err := experiments.Run(tables[0], 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	timex, trace, union := byName["timex"], byName["trace"], byName["union"]
-	if timex.Specific >= timex.Toolkit/10 {
-		t.Errorf("timex agent code (%d) should be a small fraction of toolkit code (%d)",
-			timex.Specific, timex.Toolkit)
+	size := map[string]float64{}
+	for _, r := range res {
+		size[r.Name] = r.Median
 	}
-	if trace.Specific <= 5*timex.Specific {
-		t.Errorf("trace agent code (%d) should dwarf timex's (%d): it is proportional to the interface",
-			trace.Specific, timex.Specific)
+	if size["timex/agent"] >= size["timex/toolkit"]/10 {
+		t.Errorf("timex agent code (%v) should be a small fraction of toolkit code (%v)",
+			size["timex/agent"], size["timex/toolkit"])
 	}
-	if union.Toolkit <= trace.Toolkit {
-		t.Errorf("union should reuse more toolkit layers (%d) than trace (%d)",
-			union.Toolkit, trace.Toolkit)
+	if size["trace/agent"] <= 5*size["timex/agent"] {
+		t.Errorf("trace agent code (%v) should dwarf timex's (%v): it is proportional to the interface",
+			size["trace/agent"], size["timex/agent"])
+	}
+	if size["union/toolkit"] <= size["trace/toolkit"] {
+		t.Errorf("union should reuse more toolkit layers (%v) than trace (%v)",
+			size["union/toolkit"], size["trace/toolkit"])
 	}
 }

@@ -3,8 +3,12 @@
 //
 //	experiments              # all tables
 //	experiments -table 3-2   # one table (3-1, 3-2, 3-3, 3-4, 3-5, dfs, scale, obs, sup, trace, crash, worldd, pool, resil)
-//	experiments -runs 9      # timed repetitions per row (paper used 9)
-//	experiments -json        # also write BENCH_<date>.json (per-table ns/op)
+//	experiments -runs 9      # timed rounds per row (paper used 9)
+//	experiments -json        # also write BENCH_<date>.json (per-row median and quartiles)
+//
+// Every table comes from the registry in internal/experiments and goes
+// through one runner: a discarded warm-up round of every row, then -runs
+// interleaved rounds, reporting each row's median and quartiles.
 //
 // The obs table is this reproduction's observability addition: the make
 // workload under the trace agent with telemetry enabled, printing where
@@ -16,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"interpose/internal/experiments"
@@ -24,7 +27,7 @@ import (
 
 func main() {
 	table := flag.String("table", "all", "comma-separated tables to run: 3-1, 3-2, 3-3, 3-4, 3-5, dfs, scale, obs, sup, trace, crash, worldd, pool, resil, all")
-	runs := flag.Int("runs", 9, "timed repetitions per row (after one discarded run)")
+	runs := flag.Int("runs", 9, "timed rounds per row (after one discarded round)")
 	programs := flag.Int("programs", 8, "program count for the make workload")
 	benchJSON := flag.Bool("json", false, "write measured rows to BENCH_<date>.json")
 	check := flag.String("check", "", "baseline BENCH json to compare against; exit 1 if a guarded row regresses >50%")
@@ -35,152 +38,19 @@ func main() {
 		os.Exit(1)
 	}
 
-	want := func(name string) bool {
-		for _, t := range strings.Split(*table, ",") {
-			if t == "all" || t == name {
-				return true
-			}
-		}
-		return false
+	all := experiments.Tables(*programs)
+	tables, err := experiments.Select(all, *table)
+	if err != nil {
+		fail(err)
 	}
 	var entries []experiments.BenchEntry
-
-	if want("3-1") {
-		rows, err := experiments.RunTable31()
+	for _, t := range tables {
+		res, err := experiments.Run(t, *runs)
 		if err != nil {
 			fail(err)
 		}
-		experiments.PrintTable31(os.Stdout, rows)
-	}
-	if want("3-2") {
-		rows, err := experiments.RunTable32(*runs)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintMacro(os.Stdout, "Table 3-2: Time to format the dissertation", rows)
-		entries = append(entries, experiments.MacroEntries("3-2", rows)...)
-	}
-	if want("3-3") {
-		rows, err := experiments.RunTable33(*runs, *programs)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintMacro(os.Stdout,
-			fmt.Sprintf("Table 3-3: Time to make %d programs", *programs), rows)
-		entries = append(entries, experiments.MacroEntries("3-3", rows)...)
-	}
-	if want("3-4") {
-		t, err := experiments.RunTable34()
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintTable34(os.Stdout, t)
-		entries = append(entries,
-			experiments.BenchEntry{Table: "3-4", Row: "procedure-call", NsPerOp: t.ProcedureCall.Nanoseconds()},
-			experiments.BenchEntry{Table: "3-4", Row: "interface-call", NsPerOp: t.InterfaceCall.Nanoseconds()},
-			experiments.BenchEntry{Table: "3-4", Row: "intercept-return", NsPerOp: t.InterceptReturn.Nanoseconds()},
-			experiments.BenchEntry{Table: "3-4", Row: "downcall", NsPerOp: t.Downcall.Nanoseconds()})
-	}
-	if want("3-5") {
-		rows, err := experiments.RunTable35()
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintTable35(os.Stdout, rows)
-		for _, r := range rows {
-			entries = append(entries,
-				experiments.BenchEntry{Table: "3-5", Row: r.Name + "/without", NsPerOp: r.Without.Nanoseconds()},
-				experiments.BenchEntry{Table: "3-5", Row: r.Name + "/with", NsPerOp: r.With.Nanoseconds()})
-		}
-	}
-	if want("dfs") {
-		res, err := experiments.RunDFSTraceComparison()
-		if err != nil {
-			fail(err)
-		}
-		kStmts, aStmts, err := experiments.DFSTraceSizes()
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintDFSTrace(os.Stdout, res, kStmts, aStmts)
-		entries = append(entries,
-			experiments.BenchEntry{Table: "dfs", Row: "untraced", NsPerOp: res.Base.Nanoseconds()},
-			experiments.BenchEntry{Table: "dfs", Row: "kernel-based", NsPerOp: res.Kernel.Nanoseconds()},
-			experiments.BenchEntry{Table: "dfs", Row: "dfstrace-agent", NsPerOp: res.Agent.Nanoseconds()})
-	}
-	if want("scale") {
-		rows, err := experiments.RunScale(*runs, *programs)
-		if err != nil {
-			fail(err)
-		}
-		statRows, err := experiments.RunStatHeavy(*runs)
-		if err != nil {
-			fail(err)
-		}
-		rows = append(rows, statRows...)
-		experiments.PrintScale(os.Stdout, *programs, rows)
-		entries = append(entries, experiments.ScaleEntries(rows)...)
-	}
-	if want("obs") {
-		res, err := experiments.RunObs(*programs)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintObs(os.Stdout, res)
-		entries = append(entries,
-			experiments.BenchEntry{Table: "obs", Row: "make-under-trace", NsPerOp: res.Elapsed.Nanoseconds()})
-	}
-	if want("sup") {
-		rows, err := experiments.RunSupervised()
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintSup(os.Stdout, rows)
-		entries = append(entries, experiments.SupEntries(rows)...)
-	}
-	if want("trace") {
-		rows, err := experiments.RunTraceTable()
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintTrace(os.Stdout, rows)
-		entries = append(entries, experiments.TraceEntries(rows)...)
-	}
-
-	if want("crash") {
-		rows, err := experiments.RunCrashTable(*runs)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintCrash(os.Stdout, rows)
-		entries = append(entries, experiments.CrashEntries(rows)...)
-	}
-
-	if want("worldd") {
-		rows, err := experiments.RunWorlddTable(*runs)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintWorldd(os.Stdout, rows)
-		entries = append(entries, experiments.WorlddEntries(rows)...)
-	}
-
-	if want("pool") {
-		rows, err := experiments.RunPoolTable(*runs)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintPool(os.Stdout, rows)
-		entries = append(entries, experiments.PoolEntries(rows)...)
-	}
-
-	if want("resil") {
-		rows, err := experiments.RunResilTable(*runs)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintResil(os.Stdout, rows)
-		entries = append(entries, experiments.ResilEntries(rows)...)
+		experiments.Print(os.Stdout, t, res)
+		entries = append(entries, experiments.Entries(t, res)...)
 	}
 
 	if *benchJSON {
@@ -197,7 +67,7 @@ func main() {
 			fail(err)
 		}
 		report, err := experiments.CheckBaseline(baseline, entries,
-			experiments.GuardedRows, experiments.MaxRegress)
+			experiments.Guarded(all), experiments.MaxRegress)
 		fmt.Printf("Baseline check against %s:\n%s", *check, report)
 		if err != nil {
 			fail(err)

@@ -7,63 +7,56 @@ import (
 	"strings"
 )
 
-// Baseline regression checking: the perf-smoke CI job runs the Table 3-5
-// microbenchmarks once and compares the guarded rows against the
-// checked-in BENCH_BASELINE.json, failing on a large regression. The
-// guards cover the two hot paths this repository optimizes: the
-// uninterposed stat (pathname + attribute cache) and the intercepted
-// getpid (interest-vector dispatch).
+// Baseline regression checking: the perf-smoke CI job runs the guarded
+// tables and compares each guarded row's median (the rows declare
+// Guarded: true in their tables) against the checked-in
+// BENCH_BASELINE.json, failing on a large regression, and enforces the
+// relations below between rows of the same run.
 
-// GuardedRows are the "table:row" keys the perf smoke check enforces.
-// The checked-in baseline values carry modest headroom over a quiet-host
-// measurement (stat() ~380ns → 450ns, getpid()-intercepted ~40ns → 48ns)
-// so scheduler jitter on shared CI runners does not trip the gate, while
-// a genuine fall back to the pre-cache walk (stat() ~825ns) or a slow
-// dispatch path still blows well past the +50% limit.
-//
-// The sup rows guard the supervisor's pay-per-use contract: idle is the
-// uninterposed fast path with a supervisor installed but no layers —
-// it must stay at the off cost (one atomic plan load, ~23ns → 28ns
-// baseline) — and strict is the fully supervised interposed leg
-// (~63ns → 76ns baseline).
-//
-// The trace rows guard the span tracer's pay-per-use contract: off is
-// the fast path with no tracer installed (one extra atomic pointer
-// load over sup off), and sampled is an installed tracer at 1% — the
-// unsampled 99% must pay only an xorshift draw, not clock reads or
-// span recording.
-// The worldd rows guard the multi-tenant server's scaling claims: a
-// session is one exec round trip through the daemon handler (its
-// inverse is the daemon's sessions/sec), and idle-mem/world is the
-// per-world heap floor with a 10,000-world idle fleet resident — the
-// row's unit is bytes, not nanoseconds, but the regression arithmetic
-// is the same. The memory row is what keeps per-world facilities
-// honest: anything attached unconditionally at boot shows up here
-// multiplied by ten thousand.
-// The pool rows guard the warm-pool claim that boot is off the session
-// path: acquire-hit is the pooled request-path cost (a warm-stack pop
-// plus gauge wiring) and fork is the COW clone that refills the stack.
-// The absolute guards catch a fork that starts copying data or an
-// acquire that grows work; the relations below pin the cross-row claims
-// (acquire beats boot, fork cost independent of file bytes) on any host.
-// The resil rows guard the self-healing layer's pay-per-use contract:
-// probe is the watchdog's recurring per-probe cost on an idle tenant,
-// and session/admit is the daemon exec round trip with every admission
-// gate engaged but none rejecting — the admitted fast path must not
-// grow work as the health machinery evolves.
-var GuardedRows = []string{
-	"3-5:stat()/without",
-	"3-5:getpid()/with",
-	"sup:getpid()/idle",
-	"sup:getpid()/strict",
-	"trace:getpid()/off",
-	"trace:getpid()/sampled",
-	"worldd:session",
-	"worldd:idle-mem/world",
-	"pool:acquire-hit",
-	"pool:fork",
-	"resil:probe",
-	"resil:session/admit",
+// BenchEntry is one measured row of a table, exported by the bench JSON
+// mode so successive runs can be diffed mechanically. NsPerOp is the
+// row's median in its Unit (the field name predates byte and count
+// rows), and Q1/Q3 are its quartiles over the rounds. Files written
+// before units were recorded hold only nanosecond rows.
+type BenchEntry struct {
+	Table   string `json:"table"`
+	Row     string `json:"row"`
+	NsPerOp int64  `json:"ns_per_op"`
+	Unit    Unit   `json:"unit,omitempty"`
+	Q1      int64  `json:"q1,omitempty"`
+	Q3      int64  `json:"q3,omitempty"`
+}
+
+// byKey indexes entries by their "table:row" key.
+func byKey(es []BenchEntry) map[string]BenchEntry {
+	m := make(map[string]BenchEntry, len(es))
+	for _, e := range es {
+		m[e.Table+":"+e.Row] = e
+	}
+	return m
+}
+
+// unit is the entry's unit; an entry without one is in nanoseconds.
+func (e BenchEntry) unit() Unit {
+	if e.Unit == "" {
+		return Ns
+	}
+	return e.Unit
+}
+
+// WriteBenchJSON writes the collected entries to path as indented JSON.
+func WriteBenchJSON(path string, entries []BenchEntry) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(entries); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // MaxRegress is the allowed slowdown factor before the check fails:
@@ -100,10 +93,7 @@ var Relations = []Relation{
 
 // CheckRelations enforces Relations over the measured entries.
 func CheckRelations(measured []BenchEntry, rels []Relation) (string, error) {
-	got := make(map[string]int64, len(measured))
-	for _, e := range measured {
-		got[e.Table+":"+e.Row] = e.NsPerOp
-	}
+	got := byKey(measured)
 	var report strings.Builder
 	var failures []string
 	for _, r := range rels {
@@ -118,18 +108,18 @@ func CheckRelations(measured []BenchEntry, rels []Relation) (string, error) {
 				missing = r.Right
 			}
 			failures = append(failures, fmt.Sprintf("%s vs %s: %s not measured", r.Left, r.Right, missing))
-		case rv <= 0:
-			failures = append(failures, fmt.Sprintf("%s vs %s: degenerate measurement %dns", r.Left, r.Right, rv))
+		case rv.NsPerOp <= 0:
+			failures = append(failures, fmt.Sprintf("%s vs %s: degenerate measurement %d %s", r.Left, r.Right, rv.NsPerOp, rv.unit()))
 		default:
-			ratio := float64(l) / float64(rv)
+			ratio := float64(l.NsPerOp) / float64(rv.NsPerOp)
 			status := "ok"
 			if ratio > r.Factor {
 				status = "VIOLATED"
-				failures = append(failures, fmt.Sprintf("%s: %dns > %.2f x %s (%dns) — %s",
-					r.Left, l, r.Factor, r.Right, rv, r.Why))
+				failures = append(failures, fmt.Sprintf("%s: %d %s > %.2f x %s (%d %s) — %s",
+					r.Left, l.NsPerOp, l.unit(), r.Factor, r.Right, rv.NsPerOp, rv.unit(), r.Why))
 			}
-			fmt.Fprintf(&report, "  %-24s %10dns <= %.2f x %-24s %10dns  (x%.2f)  %s\n",
-				r.Left, l, r.Factor, r.Right, rv, ratio, status)
+			fmt.Fprintf(&report, "  %-24s %10d %-5s <= %.2f x %-24s %10d %-5s  (x%.2f)  %s\n",
+				r.Left, l.NsPerOp, l.unit(), r.Factor, r.Right, rv.NsPerOp, rv.unit(), ratio, status)
 		}
 	}
 	if len(failures) > 0 {
@@ -155,18 +145,10 @@ func ReadBenchJSON(path string) ([]BenchEntry, error) {
 // CheckBaseline compares measured entries against a baseline. Guarded
 // rows missing from either side fail (a silently vanished benchmark is
 // not a pass); a guarded row slower than baseline by more than maxRegress
-// fails. The returned report lists every guarded comparison.
+// fails. The returned report lists every guarded comparison in the
+// measured row's unit.
 func CheckBaseline(baseline, measured []BenchEntry, guards []string, maxRegress float64) (string, error) {
-	key := func(e BenchEntry) string { return e.Table + ":" + e.Row }
-	base := make(map[string]int64, len(baseline))
-	for _, e := range baseline {
-		base[key(e)] = e.NsPerOp
-	}
-	got := make(map[string]int64, len(measured))
-	for _, e := range measured {
-		got[key(e)] = e.NsPerOp
-	}
-
+	base, got := byKey(baseline), byKey(measured)
 	var report strings.Builder
 	var failures []string
 	for _, g := range guards {
@@ -177,19 +159,19 @@ func CheckBaseline(baseline, measured []BenchEntry, guards []string, maxRegress 
 			failures = append(failures, fmt.Sprintf("%s: missing from baseline", g))
 		case !okM:
 			failures = append(failures, fmt.Sprintf("%s: not measured", g))
-		case b <= 0:
-			failures = append(failures, fmt.Sprintf("%s: degenerate baseline %dns", g, b))
+		case b.NsPerOp <= 0:
+			failures = append(failures, fmt.Sprintf("%s: degenerate baseline %d %s", g, b.NsPerOp, m.unit()))
 		default:
-			ratio := float64(m)/float64(b) - 1
+			ratio := float64(m.NsPerOp)/float64(b.NsPerOp) - 1
 			status := "ok"
 			if ratio > maxRegress {
 				status = "REGRESSED"
 				failures = append(failures,
-					fmt.Sprintf("%s: %dns vs baseline %dns (%+.0f%%, limit +%.0f%%)",
-						g, m, b, 100*ratio, 100*maxRegress))
+					fmt.Sprintf("%s: %d %s vs baseline %d %s (%+.0f%%, limit +%.0f%%)",
+						g, m.NsPerOp, m.unit(), b.NsPerOp, m.unit(), 100*ratio, 100*maxRegress))
 			}
-			fmt.Fprintf(&report, "  %-24s %10dns baseline %10dns  %+6.1f%%  %s\n",
-				g, m, b, 100*ratio, status)
+			fmt.Fprintf(&report, "  %-24s %10d %-5s baseline %10d %-5s  %+6.1f%%  %s\n",
+				g, m.NsPerOp, m.unit(), b.NsPerOp, m.unit(), 100*ratio, status)
 		}
 	}
 	if len(failures) > 0 {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"runtime"
-	"time"
 
 	"interpose/internal/apps"
 	"interpose/internal/image"
@@ -27,12 +25,6 @@ import (
 // append) necessarily multiply it. The guarded overhead claim is the
 // workload-level make rows, where writes ride along real computation the
 // way they do in any deployment that would turn the journal on.
-
-// CrashRow is one measured row of the crash table.
-type CrashRow struct {
-	Name string
-	Per  time.Duration
-}
 
 // write4kOps is the per-measurement repetition count of the write rows.
 const write4kOps = 2000
@@ -56,119 +48,77 @@ func crashWorld() (*kernel.Kernel, error) {
 	return w.Kernel(), nil
 }
 
-// RunCrashTable measures the crash table: per-write cost with the
-// journal off and on, then checkpoint, restore, and full-boot latency
-// for the same world.
-func RunCrashTable(runs int) ([]CrashRow, error) {
-	writeRows, err := measureStacks(runs, []string{"off", "on"}, func(stack string) (time.Duration, error) {
-		k, err := World()
-		if err != nil {
-			return 0, err
-		}
-		if stack == "on" {
-			k.SetJournal(journal.NewWriter(journal.NewMemStore(0), 0))
-		}
-		return RunBench(k, nil, "write4k", write4kOps)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("crash table: %w", err)
-	}
-	rows := []CrashRow{
-		{Name: "write4k/off", Per: writeRows[0].Elapsed / write4kOps},
-		{Name: "write4k/on", Per: writeRows[1].Elapsed / write4kOps},
-	}
-
-	// The workload rows: the make build (compiler, assembler, linker all
-	// writing through the VFS) with and without a journal attached.
-	makeEnvs := make(map[string]*kernel.Kernel, 2)
-	for _, s := range []string{"off", "on"} {
-		k, err := World()
-		if err != nil {
-			return nil, fmt.Errorf("crash table: %w", err)
-		}
-		if err := SetupMake(k, crashPrograms); err != nil {
-			return nil, fmt.Errorf("crash table: %w", err)
-		}
-		if s == "on" {
-			k.SetJournal(journal.NewWriter(journal.NewMemStore(0), 0))
-		}
-		makeEnvs[s] = k
-	}
-	makeRows, err := measureStacks(runs, []string{"off", "on"}, func(stack string) (time.Duration, error) {
-		k := makeEnvs[stack]
-		if err := CleanMake(k, crashPrograms); err != nil {
-			return 0, err
-		}
-		return RunMake(k, nil)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("crash table: %w", err)
-	}
-	rows = append(rows,
-		CrashRow{Name: "make/off", Per: makeRows[0].Elapsed},
-		CrashRow{Name: "make/on", Per: makeRows[1].Elapsed})
-
-	// One canonical world provides the checkpoint image; the snapshot is
-	// taken once and restored repeatedly.
-	k, err := crashWorld()
-	if err != nil {
-		return nil, fmt.Errorf("crash table: %w", err)
-	}
-	var snap bytes.Buffer
-	if err := k.Checkpoint(&snap); err != nil {
-		return nil, fmt.Errorf("crash table: checkpoint: %w", err)
-	}
+// crashTable measures per-write cost with the journal off and on (each
+// round in a fresh world, so the journal store does not grow across
+// rounds), the make workload — compiler, assembler, linker all writing
+// through the VFS — with and without a journal, then checkpoint, restore
+// and full-boot latency for the same world.
+func crashTable() *Table {
+	var makeWorlds [2]*kernel.Kernel // journal off, on
+	var ckpt *kernel.Kernel
+	var snap []byte
 	images := image.NewRegistry()
-	apps.Register(images)
-
-	timed := func(name string, op func() error) error {
-		var total time.Duration
-		for r := 0; r < runs+1; r++ {
-			runtime.GC()
-			start := time.Now()
-			if err := op(); err != nil {
-				return fmt.Errorf("crash table: %s: %w", name, err)
+	t := &Table{Name: "crash", Title: "Crash consistency cost (journal + checkpoint/restore)", Setup: func() (err error) {
+		apps.Register(images)
+		for i := range makeWorlds {
+			if makeWorlds[i], err = World(); err != nil {
+				return err
 			}
-			if r > 0 { // discard the warm-up round, like measureStacks
-				total += time.Since(start)
+			if err := SetupMake(makeWorlds[i], crashPrograms); err != nil {
+				return err
+			}
+			if i == 1 {
+				makeWorlds[i].SetJournal(journal.NewWriter(journal.NewMemStore(0), 0))
 			}
 		}
-		rows = append(rows, CrashRow{Name: name, Per: total / time.Duration(runs)})
+		// One canonical world provides the checkpoint image; the snapshot
+		// is taken once and restored every round.
+		if ckpt, err = crashWorld(); err != nil {
+			return err
+		}
+		var b bytes.Buffer
+		if err := ckpt.Checkpoint(&b); err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
+		}
+		snap = b.Bytes()
 		return nil
+	}}
+	for i, name := range []string{"off", "on"} {
+		t.Rows = append(t.Rows, Row{Name: "write4k/" + name, Unit: Ns, Measure: func() (float64, error) {
+			k, err := World()
+			if err != nil {
+				return 0, err
+			}
+			if i == 1 {
+				k.SetJournal(journal.NewWriter(journal.NewMemStore(0), 0))
+			}
+			d, err := RunBench(k, nil, "write4k", write4kOps)
+			return float64(d) / write4kOps, err
+		}})
 	}
-	if err := timed("checkpoint", func() error { return k.Checkpoint(io.Discard) }); err != nil {
-		return nil, err
+	for i, name := range []string{"off", "on"} {
+		t.Rows = append(t.Rows, Row{Name: "make/" + name, Unit: Ns, Measure: func() (float64, error) {
+			if err := CleanMake(makeWorlds[i], crashPrograms); err != nil {
+				return 0, err
+			}
+			return ns(RunMake(makeWorlds[i], nil))
+		}})
 	}
-	if err := timed("restore", func() error {
-		_, err := kernel.Restore(images, bytes.NewReader(snap.Bytes()))
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := timed("boot", func() error {
-		_, err := crashWorld()
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// PrintCrash renders the crash table.
-func PrintCrash(w io.Writer, rows []CrashRow) {
-	fmt.Fprintln(w, "Crash consistency cost (journal + checkpoint/restore):")
-	fmt.Fprintf(w, "  %-24s %12s\n", "operation", "per op")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-24s %12v\n", r.Name, r.Per)
-	}
-	fmt.Fprintln(w)
-}
-
-// CrashEntries converts the rows for the bench JSON / baseline check.
-func CrashEntries(rows []CrashRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{Table: "crash", Row: r.Name, NsPerOp: r.Per.Nanoseconds()})
-	}
-	return es
+	t.Rows = append(t.Rows,
+		Row{Name: "checkpoint", Unit: Ns, Measure: func() (float64, error) {
+			return perCall(1, func() error { return ckpt.Checkpoint(io.Discard) })
+		}},
+		Row{Name: "restore", Unit: Ns, Measure: func() (float64, error) {
+			return perCall(1, func() error {
+				_, err := kernel.Restore(images, bytes.NewReader(snap))
+				return err
+			})
+		}},
+		Row{Name: "boot", Unit: Ns, Measure: func() (float64, error) {
+			return perCall(1, func() error {
+				_, err := crashWorld()
+				return err
+			})
+		}})
+	return t
 }

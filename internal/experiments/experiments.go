@@ -6,10 +6,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
-	"interpose/internal/agents/dfstrace"
 	"interpose/internal/agents/nullagent"
 	"interpose/internal/agents/timex"
 	"interpose/internal/agents/trace"
@@ -157,73 +155,4 @@ func DFSTraceWorkload(k *kernel.Kernel, agents []core.Agent) (time.Duration, err
 		}
 	}
 	return time.Since(start), nil
-}
-
-// DFSTraceResult reports the §3.5.3 comparison: elapsed times untraced,
-// under kernel tracing, and under the dfstrace agent, plus record counts.
-type DFSTraceResult struct {
-	Base, Kernel, Agent         time.Duration
-	KernelRecords, AgentRecords int
-}
-
-// RunDFSTraceComparison measures the §3.5.3 comparison, interleaving the
-// three configurations across rounds to cancel process-wide drift.
-func RunDFSTraceComparison() (DFSTraceResult, error) {
-	var res DFSTraceResult
-	k, err := World()
-	if err != nil {
-		return res, err
-	}
-	if err := SetupMake(k, 2); err != nil {
-		return res, err
-	}
-
-	kcl := dfstrace.NewCollector()
-	acl := dfstrace.NewCollector()
-	agent := dfstrace.New(acl)
-
-	runCfg := func(cfg string) (time.Duration, error) {
-		switch cfg {
-		case "base":
-			return DFSTraceWorkload(k, nil)
-		case "kernel":
-			k.SetTracer(dfstrace.NewKernelTracer(kcl))
-			defer k.SetTracer(nil)
-			return DFSTraceWorkload(k, nil)
-		default:
-			return DFSTraceWorkload(k, []core.Agent{agent})
-		}
-	}
-	// Discarded warm-up round, then timed interleaved rounds.
-	for _, cfg := range []string{"base", "kernel", "agent"} {
-		if _, err := runCfg(cfg); err != nil {
-			return res, err
-		}
-	}
-	const rounds = 9
-	for r := 0; r < rounds; r++ {
-		for _, cfg := range []string{"base", "kernel", "agent"} {
-			runtime.GC()
-			kcl.Reset()
-			acl.Reset()
-			d, err := runCfg(cfg)
-			if err != nil {
-				return res, err
-			}
-			switch cfg {
-			case "base":
-				res.Base += d
-			case "kernel":
-				res.Kernel += d
-				res.KernelRecords = kcl.Len()
-			default:
-				res.Agent += d
-				res.AgentRecords = acl.Len()
-			}
-		}
-	}
-	res.Base /= rounds
-	res.Kernel /= rounds
-	res.Agent /= rounds
-	return res, nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -113,17 +115,34 @@ func TestRunBenchOps(t *testing.T) {
 	}
 }
 
-func TestTable31Shape(t *testing.T) {
-	rows, err := RunTable31()
+// runTable runs one registered table for a single round and indexes its
+// results by row name.
+func runTable(t *testing.T, name string) map[string]Result {
+	t.Helper()
+	tables, err := Select(Tables(2), name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	res, err := Run(tables[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := make(map[string]Result, len(res))
+	for _, r := range res {
+		byName[r.Name] = r
+	}
+	return byName
+}
+
+func TestTable31Shape(t *testing.T) {
+	rows := runTable(t, "3-1")
+	if len(rows) != 9 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range rows {
-		if r.Toolkit <= 0 || r.Specific <= 0 || r.Total != r.Toolkit+r.Specific {
-			t.Fatalf("bad row %+v", r)
+	for _, a := range []string{"timex", "trace", "union"} {
+		toolkit, own, total := rows[a+"/toolkit"].Median, rows[a+"/agent"].Median, rows[a+"/total"].Median
+		if toolkit <= 0 || own <= 0 || total != toolkit+own {
+			t.Fatalf("%s: toolkit %v agent %v total %v", a, toolkit, own, total)
 		}
 	}
 }
@@ -139,6 +158,23 @@ func TestCountStatements(t *testing.T) {
 	if _, err := CountStatements([]string{"/no/such/file.go"}); err == nil {
 		t.Fatal("missing file accepted")
 	}
+	// A directory counts its non-test Go files: this package's count
+	// exceeds any one of its files and ignores this test file.
+	dir, err := CountStatements([]string{"."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := CountStatements([]string{"harness.go"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withTests, err := CountStatements([]string{".", "experiments_test.go"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dir <= one || withTests <= dir {
+		t.Fatalf("dir %d, harness.go %d, dir+test %d", dir, one, withTests)
+	}
 }
 
 func TestKernelTraceHookCount(t *testing.T) {
@@ -152,15 +188,12 @@ func TestKernelTraceHookCount(t *testing.T) {
 }
 
 func TestTable34Measures(t *testing.T) {
-	tb, err := RunTable34()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.InterceptReturn <= 0 {
+	rows := runTable(t, "3-4")
+	if rows["intercept-return"].Median <= 0 {
 		t.Fatal("intercept cost not measured")
 	}
-	if tb.ProcedureCall <= 0 || tb.ProcedureCall > time.Millisecond {
-		t.Fatalf("procedure call time implausible: %v", tb.ProcedureCall)
+	if d := rows["procedure-call"].Median; d <= 0 || d > float64(time.Millisecond) {
+		t.Fatalf("procedure call time implausible: %vns", d)
 	}
 }
 
@@ -169,23 +202,49 @@ func TestMeasureAdaptive(t *testing.T) {
 	if d < 0 || d > time.Millisecond {
 		t.Fatalf("empty op measured as %v", d)
 	}
+	// The call-cost benchmarks' operations compute what they claim.
+	if PlainCall(1) != 2 || IfaceCaller().Call(1) != 2 {
+		t.Fatal("call-cost operations miscompute")
+	}
 }
 
+// TestPrintersProduceTables prints synthetic results through the one
+// printer, once per derived column and unit.
 func TestPrintersProduceTables(t *testing.T) {
+	result := func(name, base string, u Unit, q1, med, q3 float64) Result {
+		return Result{Row: Row{Name: name, Unit: u, Base: base}, Q1: q1, Median: med, Q3: q3}
+	}
 	var b strings.Builder
-	PrintMacro(&b, "Title", []MacroRow{
-		{Agent: "none", Elapsed: time.Second},
-		{Agent: "trace", Elapsed: 2 * time.Second, Slowdown: 100},
+	Print(&b, &Table{Title: "Title", Derive: Slowdown}, []Result{
+		result("none", "none", Ns, 9e8, 1e9, 1.1e9),
+		result("trace", "none", Ns, 2e9, 2e9, 2e9),
 	})
-	PrintTable31(&b, []Table31Row{{Agent: "timex", Toolkit: 10, Specific: 1, Total: 11}})
-	PrintTable34(&b, Table34{})
-	PrintTable35(&b, []Table35Row{{Name: "getpid()"}})
-	PrintDFSTrace(&b, DFSTraceResult{Base: time.Second, Kernel: time.Second, Agent: 2 * time.Second}, 10, 20)
+	Print(&b, &Table{Title: "Scale", Derive: Speedup}, []Result{
+		result("j1-none", "", Ns, 4e6, 4e6, 4e6),
+		result("j4-none", "j1-none", Ns, 1e6, 1e6, 1e6),
+	})
+	Print(&b, &Table{Title: "Table 3-5", Derive: Overhead}, []Result{
+		result("getpid()/without", "", Ns, 40, 40, 40),
+		result("getpid()/with", "getpid()/without", Ns, 51, 52, 53),
+	})
+	Print(&b, &Table{Title: "Table 3-1", Detail: func(w io.Writer) { fmt.Fprintln(w, "  detail") }}, []Result{
+		result("timex/toolkit", "", Count, 643, 643, 643),
+		result("idle-mem/world", "", Bytes, 26000, 26539, 27000),
+	})
 	out := b.String()
-	for _, want := range []string{"Title", "100.0%", "Table 3-1", "Table 3-4", "Table 3-5", "DFSTrace", "timex", "getpid()"} {
+	for _, want := range []string{
+		"Title", "slowdown", "+100.0%", "[900.00ms, 1.10s]",
+		"speedup", "4.00x",
+		"overhead", "getpid()/with", "12ns", "[51ns, 53ns]",
+		"Table 3-1", "timex/toolkit", " 643 ", "26539B", "[26000B, 27000B]", "detail",
+	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("printed tables missing %q:\n%s", want, out)
 		}
+	}
+	// The base row itself carries no derived value.
+	if strings.Contains(out, "+0.0%") {
+		t.Fatalf("base row compared against itself:\n%s", out)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"interpose/internal/core"
 	"interpose/internal/kernel"
 	"interpose/internal/sys"
 )
@@ -49,19 +50,6 @@ func PlainCall(x int) int { return plainCall(x) }
 // dynamically, for the virtual-call benches.
 func IfaceCaller() interface{ Call(int) int } { return &callee{v: 1} }
 
-// MeasureProcedureCall times a plain (non-inlined) procedure call — the
-// paper's "C procedure call with 1 arg, result".
-func MeasureProcedureCall() time.Duration {
-	return Measure(func() { sink = plainCall(sink) })
-}
-
-// MeasureInterfaceCall times a dynamic-dispatch method call — the paper's
-// "C++ virtual procedure call with 1 arg, result".
-func MeasureInterfaceCall() time.Duration {
-	var c caller = &callee{v: 1}
-	return Measure(func() { sink = c.Call(sink) })
-}
-
 // interceptOnly is an emulation layer that handles a call entirely at the
 // agent level, immediately returning. Dispatching to it and back is the
 // floor cost of interception — the paper's "intercept and return from
@@ -91,59 +79,55 @@ func measureProc(k *kernel.Kernel) *kernel.Proc {
 	return p
 }
 
-// MeasureInterceptReturn times a system call that an agent layer handles
-// without calling down: interception machinery only.
-func MeasureInterceptReturn(k *kernel.Kernel) time.Duration {
-	p := measureProc(k)
-	layer := kernel.NewEmuLayer(interceptOnly{})
-	layer.Register(sys.SYS_getpagesize)
-	p.PushEmulation(layer)
-	return Measure(func() { p.Syscall(sys.SYS_getpagesize, sys.Args{}) })
-}
-
-// MeasureSyscallDirect times a trivial call with no agents installed.
-func MeasureSyscallDirect(k *kernel.Kernel) time.Duration {
-	p := measureProc(k)
-	return Measure(func() { p.Syscall(sys.SYS_getpid, sys.Args{}) })
-}
-
-// MeasureSyscallThroughLayer times the same trivial call through a
-// pass-through layer; the difference from MeasureSyscallDirect is the
-// downcall overhead.
-func MeasureSyscallThroughLayer(k *kernel.Kernel) time.Duration {
-	p := measureProc(k)
+// pushPassThrough interposes a pass-through layer on every call of p.
+func pushPassThrough(p *kernel.Proc) {
 	layer := kernel.NewEmuLayer(passThrough{})
 	layer.RegisterAll()
 	p.PushEmulation(layer)
-	return Measure(func() { p.Syscall(sys.SYS_getpid, sys.Args{}) })
 }
 
-// Table34 holds the low-level operation measurements.
-type Table34 struct {
-	ProcedureCall   time.Duration
-	InterfaceCall   time.Duration
-	InterceptReturn time.Duration
-	Downcall        time.Duration // overhead of one downcall hop
+// getpidCost times one host-driven getpid on p.
+func getpidCost(p *kernel.Proc) float64 {
+	return float64(Measure(func() { p.Syscall(sys.SYS_getpid, sys.Args{}) }))
 }
 
-// RunTable34 performs the Table 3-4 measurements.
-func RunTable34() (Table34, error) {
-	k, err := World()
-	if err != nil {
-		return Table34{}, err
+// table34 is the low-level operations table: the primitive costs that
+// bound every interposition agent's overhead — a plain (non-inlined)
+// procedure call, a dynamic-dispatch call, a system call an agent layer
+// handles without calling down (interception machinery only), and the
+// downcall (htg_unix_syscall) overhead: a trivial call through a
+// pass-through layer less the same call with no agents installed.
+func table34() *Table {
+	var direct, through, intercept *kernel.Proc
+	var c caller = &callee{v: 1}
+	return &Table{Name: "3-4", Title: "Table 3-4: Performance of low-level operations",
+		Setup: func() error {
+			k, err := World()
+			if err != nil {
+				return err
+			}
+			direct, through, intercept = measureProc(k), measureProc(k), measureProc(k)
+			pushPassThrough(through)
+			layer := kernel.NewEmuLayer(interceptOnly{})
+			layer.Register(sys.SYS_getpagesize)
+			intercept.PushEmulation(layer)
+			return nil
+		},
+		Rows: []Row{
+			{Name: "procedure-call", Unit: Ns, Measure: func() (float64, error) {
+				return float64(Measure(func() { sink = plainCall(sink) })), nil
+			}},
+			{Name: "interface-call", Unit: Ns, Measure: func() (float64, error) {
+				return float64(Measure(func() { sink = c.Call(sink) })), nil
+			}},
+			{Name: "intercept-return", Unit: Ns, Measure: func() (float64, error) {
+				return float64(Measure(func() { intercept.Syscall(sys.SYS_getpagesize, sys.Args{}) })), nil
+			}},
+			{Name: "downcall", Unit: Ns, Measure: func() (float64, error) {
+				return max(getpidCost(through)-getpidCost(direct), 0), nil
+			}},
+		},
 	}
-	direct := MeasureSyscallDirect(k)
-	through := MeasureSyscallThroughLayer(k)
-	down := through - direct
-	if down < 0 {
-		down = 0
-	}
-	return Table34{
-		ProcedureCall:   MeasureProcedureCall(),
-		InterfaceCall:   MeasureInterfaceCall(),
-		InterceptReturn: MeasureInterceptReturn(k),
-		Downcall:        down,
-	}, nil
 }
 
 // Table35Ops lists the system call patterns of Table 3-5 with the
@@ -162,41 +146,72 @@ var Table35Ops = []struct {
 	{"execve()", "execve", 400},
 }
 
-// Table35Row is one measured row: per-call cost without and with the
-// measurement (null) agent.
-type Table35Row struct {
-	Name          string
-	Without, With time.Duration
-	Overhead      time.Duration
+// table35 is the per-system-call table: each call's cost without and
+// with the measurement (null) agent, one world per call. Two rows are
+// guarded, the two hot paths this repository optimizes: the
+// uninterposed stat (pathname + attribute cache; a fall back to the
+// pre-cache walk costs ~1.8x) and the intercepted getpid
+// (interest-vector dispatch).
+func table35() *Table {
+	guarded := map[string]bool{"stat()/without": true, "getpid()/with": true}
+	envs := make([]stackEnv, len(Table35Ops))
+	t := &Table{Name: "3-5", Title: "Table 3-5: Performance of individual system calls (with = under the null agent)",
+		Derive: Overhead, Setup: func() (err error) {
+			for i := range envs {
+				if envs[i], err = newStackEnv("null", func(*kernel.Kernel) error { return nil }); err != nil {
+					return err
+				}
+			}
+			return nil
+		}}
+	for i, op := range Table35Ops {
+		bench := func(interposed bool) func() (float64, error) {
+			return func() (float64, error) {
+				var agents []core.Agent
+				if interposed {
+					agents = envs[i].agents
+				}
+				d, err := RunBench(envs[i].k, agents, op.Op, op.N)
+				return float64(d) / float64(op.N), err
+			}
+		}
+		without, with := op.Name+"/without", op.Name+"/with"
+		t.Rows = append(t.Rows,
+			Row{Name: without, Unit: Ns, Guarded: guarded[without], Measure: bench(false)},
+			Row{Name: with, Unit: Ns, Guarded: guarded[with], Base: without, Measure: bench(true)})
+	}
+	return t
 }
 
-// RunTable35 measures every row of Table 3-5.
-func RunTable35() ([]Table35Row, error) {
-	var rows []Table35Row
-	for _, op := range Table35Ops {
-		k, err := World()
-		if err != nil {
-			return nil, err
+// getpidCfg is one row of a host-driven getpid cost table: install
+// attaches the configuration under test to a fresh world and process.
+type getpidCfg struct {
+	name    string
+	guarded bool
+	install func(*kernel.Kernel, *kernel.Proc)
+}
+
+// getpidTable declares a table of host-driven getpid costs, each row in
+// a fresh world so caches, plans and sampling state cannot leak across
+// configurations.
+func getpidTable(name, title string, cfgs []getpidCfg) *Table {
+	procs := make([]*kernel.Proc, len(cfgs))
+	t := &Table{Name: name, Title: title, Setup: func() error {
+		for i, c := range cfgs {
+			k, err := World()
+			if err != nil {
+				return err
+			}
+			procs[i] = measureProc(k)
+			if c.install != nil {
+				c.install(k, procs[i])
+			}
 		}
-		bare, err := RunBench(k, nil, op.Op, op.N)
-		if err != nil {
-			return nil, err
-		}
-		agents, err := AgentStack(k, "null")
-		if err != nil {
-			return nil, err
-		}
-		with, err := RunBench(k, agents, op.Op, op.N)
-		if err != nil {
-			return nil, err
-		}
-		row := Table35Row{
-			Name:    op.Name,
-			Without: bare / time.Duration(op.N),
-			With:    with / time.Duration(op.N),
-		}
-		row.Overhead = row.With - row.Without
-		rows = append(rows, row)
+		return nil
+	}}
+	for i, c := range cfgs {
+		t.Rows = append(t.Rows, Row{Name: c.name, Unit: Ns, Guarded: c.guarded,
+			Measure: func() (float64, error) { return getpidCost(procs[i]), nil }})
 	}
-	return rows, nil
+	return t
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"io"
-	"runtime"
-	"time"
 
 	"interpose/internal/apps"
 	"interpose/internal/kernel"
@@ -32,12 +30,6 @@ import (
 // BENCH_BASELINE.json; the byte-size independence and the
 // acquire-beats-boot claims are relation-guarded (baseline.go) so they
 // hold on any host.
-
-// PoolRow is one measured row of the pool table, in nanoseconds.
-type PoolRow struct {
-	Name  string
-	Value int64
-}
 
 const (
 	// poolBoots is the world count of the boot row.
@@ -77,147 +69,74 @@ func poolTree(size int) func(*kernel.Kernel) error {
 	}
 }
 
-// measureFork boots a template carrying a bench tree of the given
-// per-file size and times poolForks member forks per round, best of
-// runs rounds.
-func measureFork(runs, fileSize int) (time.Duration, error) {
+// poolTemplate boots a fork template carrying a bench tree of the given
+// per-file size.
+func poolTemplate(fileSize int) (*world.World, error) {
 	spec := apps.Spec()
 	spec.Setup = []func(*kernel.Kernel) error{poolTree(fileSize)}
-	tmpl, err := world.Boot(spec)
-	if err != nil {
-		return 0, fmt.Errorf("pool table: template: %w", err)
-	}
-	defer tmpl.Close()
+	return world.Boot(spec)
+}
 
-	member := apps.Spec()
-	round := func() (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < poolForks; i++ {
-			w, err := world.Fork(tmpl, member)
-			if err != nil {
-				return 0, fmt.Errorf("pool table: fork: %w", err)
-			}
-			if err := w.Close(); err != nil {
-				return 0, fmt.Errorf("pool table: fork close: %w", err)
-			}
+// forkClose forks one member from tmpl and closes it.
+func forkClose(tmpl *world.World) func() error {
+	return func() error {
+		w, err := world.Fork(tmpl, apps.Spec())
+		if err != nil {
+			return err
 		}
-		return time.Since(start), nil
+		return w.Close()
 	}
-	if _, err := round(); err != nil { // warm-up
+}
+
+// acquireHit drains a fresh pool pre-warmed to poolAcquires members
+// exactly once and returns the cost of one acquire. Acquires only pop the
+// warm stack, so every timed acquire is a hit regardless of how far the
+// background refiller gets.
+func acquireHit() (float64, error) {
+	p, err := world.NewPool(apps.Spec(), poolAcquires)
+	if err != nil {
 		return 0, err
 	}
-	var best time.Duration
-	for r := 0; r < runs; r++ {
-		runtime.GC()
-		d, err := round()
-		if err != nil {
-			return 0, err
-		}
-		if r == 0 || d < best {
-			best = d
-		}
-	}
-	return best / poolForks, nil
-}
-
-// RunPoolTable measures the pool table.
-func RunPoolTable(runs int) ([]PoolRow, error) {
-	// Boot: the no-pool session-path cost, for the relation gate.
-	start := time.Now()
-	for i := 0; i < poolBoots; i++ {
-		w, err := world.Boot(apps.Spec())
-		if err != nil {
-			return nil, fmt.Errorf("pool table: boot: %w", err)
-		}
-		if err := w.Close(); err != nil {
-			return nil, fmt.Errorf("pool table: boot close: %w", err)
-		}
-	}
-	bootPer := time.Since(start) / poolBoots
-
-	forkPer, err := measureFork(runs, poolSmallFile)
-	if err != nil {
-		return nil, err
-	}
-	forkLargePer, err := measureFork(runs, poolLargeFile)
-	if err != nil {
-		return nil, err
-	}
-
-	// Acquire-hit: drain a pre-warmed pool exactly once per round. The
-	// warm stack starts at poolAcquires members and acquires only pop,
-	// so every timed acquire is a hit regardless of how far the
-	// background refiller gets.
-	acquireRound := func() (time.Duration, error) {
-		p, err := world.NewPool(apps.Spec(), poolAcquires)
-		if err != nil {
-			return 0, fmt.Errorf("pool table: pool: %w", err)
-		}
-		worlds := make([]*world.World, 0, poolAcquires)
-		start := time.Now()
-		for i := 0; i < poolAcquires; i++ {
-			w, err := p.Acquire()
-			if err != nil {
-				p.Close()
-				return 0, fmt.Errorf("pool table: acquire: %w", err)
-			}
+	worlds := make([]*world.World, 0, poolAcquires)
+	per, err := perCall(poolAcquires, func() error {
+		w, err := p.Acquire()
+		if err == nil {
 			worlds = append(worlds, w)
 		}
-		d := time.Since(start)
-		if s := p.Stats(); s.Misses > 0 {
-			p.Close()
-			return 0, fmt.Errorf("pool table: %d misses on a pre-warmed pool", s.Misses)
-		}
-		for _, w := range worlds {
-			if err := w.Close(); err != nil {
-				p.Close()
-				return 0, fmt.Errorf("pool table: session close: %w", err)
+		return err
+	})
+	if s := p.Stats(); err == nil && s.Misses > 0 {
+		err = fmt.Errorf("%d misses on a pre-warmed pool", s.Misses)
+	}
+	for _, w := range worlds {
+		err = errors.Join(err, w.Close())
+	}
+	return per, errors.Join(err, p.Close())
+}
+
+// poolTable measures the pool table.
+func poolTable() *Table {
+	var small, large *world.World
+	return &Table{Name: "pool",
+		Title: fmt.Sprintf("Warm pools and COW forking (%d-file bench tree, %dB vs %dB files)",
+			poolTreeFiles, poolSmallFile, poolLargeFile),
+		Setup: func() (err error) {
+			if small, err = poolTemplate(poolSmallFile); err != nil {
+				return err
 			}
-		}
-		if err := p.Close(); err != nil {
-			return 0, fmt.Errorf("pool table: pool close: %w", err)
-		}
-		return d, nil
+			large, err = poolTemplate(poolLargeFile)
+			return err
+		},
+		Close: func() error { return errors.Join(small.Close(), large.Close()) },
+		Rows: []Row{
+			{Name: "boot", Unit: Ns, Measure: func() (float64, error) { return perCall(poolBoots, bootClose) }},
+			{Name: "fork", Unit: Ns, Guarded: true, Measure: func() (float64, error) {
+				return perCall(poolForks, forkClose(small))
+			}},
+			{Name: "fork/large", Unit: Ns, Measure: func() (float64, error) {
+				return perCall(poolForks, forkClose(large))
+			}},
+			{Name: "acquire-hit", Unit: Ns, Guarded: true, Measure: acquireHit},
+		},
 	}
-	if _, err := acquireRound(); err != nil { // warm-up
-		return nil, err
-	}
-	var acquireBest time.Duration
-	for r := 0; r < runs; r++ {
-		runtime.GC()
-		d, err := acquireRound()
-		if err != nil {
-			return nil, err
-		}
-		if r == 0 || d < acquireBest {
-			acquireBest = d
-		}
-	}
-	acquirePer := acquireBest / poolAcquires
-
-	return []PoolRow{
-		{Name: "boot", Value: bootPer.Nanoseconds()},
-		{Name: "fork", Value: forkPer.Nanoseconds()},
-		{Name: "fork/large", Value: forkLargePer.Nanoseconds()},
-		{Name: "acquire-hit", Value: acquirePer.Nanoseconds()},
-	}, nil
-}
-
-// PrintPool renders the pool table.
-func PrintPool(w io.Writer, rows []PoolRow) {
-	fmt.Fprintf(w, "Warm pools and COW forking (%d-file bench tree, %dB vs %dB files):\n",
-		poolTreeFiles, poolSmallFile, poolLargeFile)
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-16s %10dns\n", r.Name, r.Value)
-	}
-	fmt.Fprintln(w)
-}
-
-// PoolEntries converts the rows for the bench JSON / baseline check.
-func PoolEntries(rows []PoolRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{Table: "pool", Row: r.Name, NsPerOp: r.Value})
-	}
-	return es
 }

@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"interpose/internal/apps"
@@ -34,12 +33,6 @@ import (
 // the relations pin recovery-from-pool under cold boot and the admit
 // path within 15% of the bare session on any host.
 
-// ResilRow is one measured row, in nanoseconds.
-type ResilRow struct {
-	Name  string
-	Value int64
-}
-
 // resilProbes is the per-round probe count of the probe row.
 const resilProbes = 200
 
@@ -52,10 +45,20 @@ const resilKills = 30
 // resilSessions is the per-round session count of the session rows.
 const resilSessions = 200
 
-// measureRecovery boots a crashy tenant in a throwaway daemon, kills it
-// resilKills times by injected crash, waits out each recovery, and
-// returns the daemon's mean rebuild time.
-func measureRecovery(spec []byte, stateDir string) (int64, error) {
+// measureRecovery boots a crashy tenant in a throwaway daemon (with a
+// state directory of its own when journaled), kills it resilKills times
+// by injected crash, waits out each recovery, and returns the daemon's
+// mean rebuild time.
+func measureRecovery(spec string, journaled bool) (float64, error) {
+	stateDir := ""
+	if journaled {
+		dir, err := os.MkdirTemp("", "resil-journal-")
+		if err != nil {
+			return 0, err
+		}
+		defer os.RemoveAll(dir)
+		stateDir = dir
+	}
 	srv, err := worldd.New(worldd.Config{
 		Register: apps.Register,
 		StateDir: stateDir,
@@ -73,13 +76,13 @@ func measureRecovery(spec []byte, stateDir string) (int64, error) {
 		},
 	})
 	if err != nil {
-		return 0, fmt.Errorf("resil table: %w", err)
+		return 0, err
 	}
 	defer srv.Shutdown(context.Background())
 	h := srv.Handler()
 
 	var info worldd.Info
-	if err := apiCall(h, "POST", "/1.0/worlds", spec, &info); err != nil {
+	if err := apiCall(h, "POST", "/1.0/worlds", []byte(spec), &info); err != nil {
 		return 0, err
 	}
 	poison := []byte(`{"argv":["cat","/boom"]}`)
@@ -99,181 +102,59 @@ func measureRecovery(spec []byte, stateDir string) (int64, error) {
 				break
 			}
 			if time.Now().After(deadline) {
-				return 0, fmt.Errorf("resil table: tenant never recovered from kill %d (%+v)", i, in)
+				return 0, fmt.Errorf("tenant never recovered from kill %d (%+v)", i, in)
 			}
 			time.Sleep(500 * time.Microsecond)
 		}
 	}
 	if info.RebuildNs <= 0 {
-		return 0, fmt.Errorf("resil table: no rebuild time recorded (%+v)", info)
+		return 0, fmt.Errorf("no rebuild time recorded (%+v)", info)
 	}
-	return info.RebuildNs, nil
+	return float64(info.RebuildNs), nil
 }
 
-// measureSessions times the daemon exec round trip, best of runs.
-func measureSessions(runs int, cfg worldd.Config, spec []byte) (int64, error) {
-	srv, err := worldd.New(cfg)
-	if err != nil {
-		return 0, fmt.Errorf("resil table: %w", err)
-	}
-	defer srv.Shutdown(context.Background())
-	h := srv.Handler()
-	var info worldd.Info
-	if err := apiCall(h, "POST", "/1.0/worlds", spec, &info); err != nil {
-		return 0, err
-	}
-	execBody := []byte(`{"argv":["true"]}`)
-	round := func() (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < resilSessions; i++ {
-			var res world.ExecResult
-			if err := apiCall(h, "POST", "/1.0/worlds/"+info.ID+"/exec", execBody, &res); err != nil {
-				return 0, err
-			}
-			if res.Status != 0 {
-				return 0, fmt.Errorf("resil table: session exited %d", res.Status)
-			}
-		}
-		return time.Since(start), nil
-	}
-	if _, err := round(); err != nil { // warm-up
-		return 0, err
-	}
-	var best time.Duration
-	for r := 0; r < runs; r++ {
-		runtime.GC()
-		d, err := round()
-		if err != nil {
-			return 0, err
-		}
-		if r == 0 || d < best {
-			best = d
-		}
-	}
-	return (best / resilSessions).Nanoseconds(), nil
-}
-
-// RunResilTable measures the resilience table.
-func RunResilTable(runs int) ([]ResilRow, error) {
-	// Probe: what one watchdog liveness check costs the probed world.
-	w, err := world.Boot(apps.Spec())
-	if err != nil {
-		return nil, fmt.Errorf("resil table: boot: %w", err)
-	}
+// resilTable measures the resilience table.
+func resilTable() *Table {
+	var probe *world.World
+	var bare, gated *tenant
 	probeReq := world.ExecRequest{Argv: []string{"true"}}
-	probeRound := func() (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < resilProbes; i++ {
-			res, err := w.Exec(probeReq)
-			if err != nil {
-				return 0, err
+	return &Table{Name: "resil",
+		Title: fmt.Sprintf("Self-healing worldd (%d injected crashes per recover row; recover = teardown + rebuild, detection excluded)", resilKills),
+		Setup: func() (err error) {
+			if probe, err = world.Boot(apps.Spec()); err != nil {
+				return err
 			}
-			if res.Status != 0 {
-				return 0, fmt.Errorf("resil table: probe exited %d", res.Status)
+			// The admitted fast path, bare vs fully gated.
+			if bare, err = openTenant(worldd.Config{Register: apps.Register, Health: worldd.HealthConfig{Disabled: true}},
+				`{"name":"bare"}`); err != nil {
+				return err
 			}
-		}
-		return time.Since(start), nil
+			gated, err = openTenant(worldd.Config{Register: apps.Register},
+				`{"name":"gated","admission":{"max_sessions":1024,"rate":1e9}}`)
+			return err
+		},
+		Close: func() error { return errors.Join(probe.Close(), bare.close(), gated.close()) },
+		Rows: []Row{
+			{Name: "probe", Unit: Ns, Guarded: true, Measure: func() (float64, error) {
+				return perCall(resilProbes, func() error {
+					res, err := probe.Exec(probeReq)
+					if err == nil && res.Status != 0 {
+						err = fmt.Errorf("probe exited %d", res.Status)
+					}
+					return err
+				})
+			}},
+			{Name: "boot", Unit: Ns, Measure: func() (float64, error) { return perCall(resilBoots, bootClose) }},
+			{Name: "recover/pool", Unit: Ns, Measure: func() (float64, error) {
+				return measureRecovery(`{"name":"rp","pool":2,"inject":"seed=1,open:/boom=crash@1"}`, false)
+			}},
+			{Name: "recover/journal", Unit: Ns, Measure: func() (float64, error) {
+				return measureRecovery(`{"name":"rj","journal":"rj","inject":"seed=1,open:/boom=crash@1"}`, true)
+			}},
+			{Name: "session", Unit: Ns, Measure: func() (float64, error) { return perCall(resilSessions, bare.session) }},
+			{Name: "session/admit", Unit: Ns, Guarded: true, Measure: func() (float64, error) {
+				return perCall(resilSessions, gated.session)
+			}},
+		},
 	}
-	if _, err := probeRound(); err != nil { // warm-up
-		w.Close()
-		return nil, err
-	}
-	var probeBest time.Duration
-	for r := 0; r < runs; r++ {
-		runtime.GC()
-		d, err := probeRound()
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		if r == 0 || d < probeBest {
-			probeBest = d
-		}
-	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("resil table: close: %w", err)
-	}
-	probePer := (probeBest / resilProbes).Nanoseconds()
-
-	// Boot: the cold-recovery floor.
-	start := time.Now()
-	for i := 0; i < resilBoots; i++ {
-		bw, err := world.Boot(apps.Spec())
-		if err != nil {
-			return nil, fmt.Errorf("resil table: boot: %w", err)
-		}
-		if err := bw.Close(); err != nil {
-			return nil, fmt.Errorf("resil table: close: %w", err)
-		}
-	}
-	bootPer := (time.Since(start) / resilBoots).Nanoseconds()
-
-	// Recovery: mean rebuild time after an injected crash, pooled vs
-	// journal-replaying.
-	recoverPool, err := measureRecovery(
-		[]byte(`{"name":"rp","pool":2,"inject":"seed=1,open:/boom=crash@1"}`), "")
-	if err != nil {
-		return nil, err
-	}
-	stateDir, err := os.MkdirTemp("", "resil-journal-")
-	if err != nil {
-		return nil, fmt.Errorf("resil table: %w", err)
-	}
-	defer os.RemoveAll(stateDir)
-	recoverJournal, err := measureRecovery(
-		[]byte(`{"name":"rj","journal":"rj","inject":"seed=1,open:/boom=crash@1"}`), stateDir)
-	if err != nil {
-		return nil, err
-	}
-
-	// Sessions: the admitted fast path, bare vs fully gated.
-	session, err := measureSessions(runs, worldd.Config{
-		Register: apps.Register,
-		Health:   worldd.HealthConfig{Disabled: true},
-	}, []byte(`{"name":"bare"}`))
-	if err != nil {
-		return nil, err
-	}
-	sessionAdmit, err := measureSessions(runs, worldd.Config{
-		Register: apps.Register,
-	}, []byte(`{"name":"gated","admission":{"max_sessions":1024,"rate":1e9}}`))
-	if err != nil {
-		return nil, err
-	}
-
-	return []ResilRow{
-		{Name: "probe", Value: probePer},
-		{Name: "boot", Value: bootPer},
-		{Name: "recover/pool", Value: recoverPool},
-		{Name: "recover/journal", Value: recoverJournal},
-		{Name: "session", Value: session},
-		{Name: "session/admit", Value: sessionAdmit},
-	}, nil
-}
-
-// PrintResil renders the resilience table.
-func PrintResil(w io.Writer, rows []ResilRow) {
-	fmt.Fprintf(w, "Self-healing worldd (%d injected crashes per recovery row):\n", resilKills)
-	for _, r := range rows {
-		switch r.Name {
-		case "probe":
-			fmt.Fprintf(w, "  %-18s %10dns   (idle watchdog cost per probe)\n", r.Name, r.Value)
-		case "recover/pool", "recover/journal":
-			fmt.Fprintf(w, "  %-18s %10dns   (teardown + rebuild, detection excluded)\n", r.Name, r.Value)
-		case "session/admit":
-			fmt.Fprintf(w, "  %-18s %10dns   (admission gates engaged, none rejecting)\n", r.Name, r.Value)
-		default:
-			fmt.Fprintf(w, "  %-18s %10dns\n", r.Name, r.Value)
-		}
-	}
-	fmt.Fprintln(w)
-}
-
-// ResilEntries converts the rows for the bench JSON / baseline check.
-func ResilEntries(rows []ResilRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{Table: "resil", Row: r.Name, NsPerOp: r.Value})
-	}
-	return es
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -23,20 +22,23 @@ import (
 // ScaleJobs is the job-count ladder of the scale table.
 var ScaleJobs = []int{1, 2, 4, 8}
 
-// ScaleRow is one row of the scalability table: elapsed time for mk -j J
-// and the speedup relative to the serial (-j 1) row.
-type ScaleRow struct {
-	Jobs    int
-	Agent   string
-	Elapsed time.Duration
-	Speedup float64 // serial elapsed / this elapsed
-}
+// StatHeavyJobs is the parallelism of the stat-heavy workload rows.
+const StatHeavyJobs = 4
 
-// RunScale measures mk -j N over the job ladder, for the bare kernel and
-// under the trace agent stack (showing interposition composes with
-// concurrency). Rounds are interleaved across configurations, after one
-// discarded warm-up round each, mirroring measureStacks.
-func RunScale(runs, programs int) ([]ScaleRow, error) {
+// StatHeavyOps is the number of stat calls each parallel job performs.
+const StatHeavyOps = 20000
+
+// scaleTable measures mk -j N over the job ladder, for the bare kernel
+// and under the trace agent stack (showing interposition composes with
+// concurrency), each configuration in a world of its own; the speedup is
+// over the serial row. The pathname-cache rows run a stat-heavy parallel
+// workload (StatHeavyJobs guests each performing StatHeavyOps stat calls
+// on the same path) with the VFS name/attribute cache on and off; the
+// cache-on row's speedup over cache-off is the cache's speedup factor.
+func scaleTable(programs int) *Table {
+	t := &Table{Name: "scale", Derive: Speedup, Title: fmt.Sprintf(
+		"Scale: parallel make of %d programs (mk -j N), GOMAXPROCS=%d; stat-cache rows: %d jobs x %d stats",
+		programs, runtime.GOMAXPROCS(0), StatHeavyJobs, StatHeavyOps)}
 	type cfg struct {
 		jobs  int
 		stack string
@@ -46,162 +48,55 @@ func RunScale(runs, programs int) ([]ScaleRow, error) {
 		cfgs = append(cfgs, cfg{j, "none"})
 	}
 	cfgs = append(cfgs, cfg{4, "trace"})
-
-	type env struct {
-		k      *kernel.Kernel
-		agents []core.Agent
+	envs := make([]stackEnv, len(cfgs))
+	var statWorlds [2]*kernel.Kernel // cache on, off
+	t.Setup = func() (err error) {
+		for i, c := range cfgs {
+			if envs[i], err = newStackEnv(c.stack, func(k *kernel.Kernel) error { return SetupMake(k, programs) }); err != nil {
+				return err
+			}
+		}
+		for i := range statWorlds {
+			if statWorlds[i], err = World(); err != nil {
+				return err
+			}
+			statWorlds[i].FS().SetNameCache(i == 0)
+		}
+		return nil
 	}
-	envs := make(map[cfg]*env, len(cfgs))
-	for _, c := range cfgs {
-		k, err := World()
-		if err != nil {
-			return nil, err
-		}
-		if err := SetupMake(k, programs); err != nil {
-			return nil, err
-		}
-		agents, err := AgentStack(k, c.stack)
-		if err != nil {
-			return nil, err
-		}
-		envs[c] = &env{k: k, agents: agents}
+	serial := fmt.Sprintf("j%d-none", ScaleJobs[0])
+	for i, c := range cfgs {
+		t.Rows = append(t.Rows, Row{Name: fmt.Sprintf("j%d-%s", c.jobs, c.stack), Unit: Ns, Base: serial,
+			Measure: func() (float64, error) {
+				if err := CleanMake(envs[i].k, programs); err != nil {
+					return 0, err
+				}
+				return ns(RunMakeJ(envs[i].k, envs[i].agents, c.jobs))
+			}})
 	}
+	off := fmt.Sprintf("j%d-stat-cache-off", StatHeavyJobs)
+	for i, name := range []string{fmt.Sprintf("j%d-stat-cache-on", StatHeavyJobs), off} {
+		t.Rows = append(t.Rows, Row{Name: name, Unit: Ns, Base: off,
+			Measure: func() (float64, error) { return ns(statHeavy(statWorlds[i])) }})
+	}
+	return t
+}
 
-	work := func(c cfg) (time.Duration, error) {
-		e := envs[c]
-		if err := CleanMake(e.k, programs); err != nil {
+// statHeavy runs StatHeavyJobs concurrent stat-heavy guests on k and
+// returns the elapsed time until the last one exits.
+func statHeavy(k *kernel.Kernel) (time.Duration, error) {
+	start := time.Now()
+	procs := make([]*kernel.Proc, 0, StatHeavyJobs)
+	argv := []string{"bench", "stat", fmt.Sprint(StatHeavyOps)}
+	for j := 0; j < StatHeavyJobs; j++ {
+		p, err := core.Launch(k, nil, "/bin/bench", argv, nil)
+		if err != nil {
 			return 0, err
 		}
-		return RunMakeJ(e.k, e.agents, c.jobs)
+		procs = append(procs, p)
 	}
-
-	totals := make(map[cfg]time.Duration, len(cfgs))
-	for _, c := range cfgs {
-		if _, err := work(c); err != nil {
-			return nil, fmt.Errorf("scale table (j=%d, %s): %w", c.jobs, c.stack, err)
-		}
+	for _, p := range procs {
+		k.WaitExit(p)
 	}
-	for r := 0; r < runs; r++ {
-		for _, c := range cfgs {
-			runtime.GC()
-			d, err := work(c)
-			if err != nil {
-				return nil, fmt.Errorf("scale table (j=%d, %s): %w", c.jobs, c.stack, err)
-			}
-			totals[c] += d
-		}
-	}
-
-	rows := make([]ScaleRow, 0, len(cfgs))
-	for _, c := range cfgs {
-		rows = append(rows, ScaleRow{Jobs: c.jobs, Agent: c.stack, Elapsed: totals[c] / time.Duration(runs)})
-	}
-	serial := rows[0].Elapsed
-	for i := range rows {
-		if rows[i].Elapsed > 0 {
-			rows[i].Speedup = float64(serial) / float64(rows[i].Elapsed)
-		}
-	}
-	return rows, nil
-}
-
-// StatHeavyJobs is the parallelism of the stat-heavy workload rows.
-const StatHeavyJobs = 4
-
-// StatHeavyOps is the number of stat calls each parallel job performs.
-const StatHeavyOps = 20000
-
-// RunStatHeavy measures the pathname-cache rows of the scale table: a
-// stat-heavy parallel workload (StatHeavyJobs guests each performing
-// StatHeavyOps stat calls on the same path) with the VFS name/attribute
-// cache on and off. The Speedup column reports cache-off elapsed over
-// this row's elapsed, so the cache-on row directly reads as the cache's
-// speedup factor. Rounds are interleaved after one discarded warm-up.
-func RunStatHeavy(runs int) ([]ScaleRow, error) {
-	cfgs := []bool{true, false} // cache on, cache off
-	envs := make(map[bool]*kernel.Kernel, len(cfgs))
-	for _, on := range cfgs {
-		k, err := World()
-		if err != nil {
-			return nil, err
-		}
-		k.FS().SetNameCache(on)
-		envs[on] = k
-	}
-
-	work := func(on bool) (time.Duration, error) {
-		k := envs[on]
-		start := time.Now()
-		procs := make([]*kernel.Proc, 0, StatHeavyJobs)
-		argv := []string{"bench", "stat", fmt.Sprint(StatHeavyOps)}
-		for j := 0; j < StatHeavyJobs; j++ {
-			p, err := core.Launch(k, nil, "/bin/bench", argv, nil)
-			if err != nil {
-				return 0, err
-			}
-			procs = append(procs, p)
-		}
-		for _, p := range procs {
-			k.WaitExit(p)
-		}
-		return time.Since(start), nil
-	}
-
-	totals := make(map[bool]time.Duration, len(cfgs))
-	for _, on := range cfgs {
-		if _, err := work(on); err != nil {
-			return nil, fmt.Errorf("stat-heavy (cache=%v): %w", on, err)
-		}
-	}
-	for r := 0; r < runs; r++ {
-		for _, on := range cfgs {
-			runtime.GC()
-			d, err := work(on)
-			if err != nil {
-				return nil, fmt.Errorf("stat-heavy (cache=%v): %w", on, err)
-			}
-			totals[on] += d
-		}
-	}
-
-	label := map[bool]string{true: "stat-cache-on", false: "stat-cache-off"}
-	rows := make([]ScaleRow, 0, len(cfgs))
-	for _, on := range cfgs {
-		rows = append(rows, ScaleRow{
-			Jobs:    StatHeavyJobs,
-			Agent:   label[on],
-			Elapsed: totals[on] / time.Duration(runs),
-		})
-	}
-	off := totals[false] / time.Duration(runs)
-	for i := range rows {
-		if rows[i].Elapsed > 0 {
-			rows[i].Speedup = float64(off) / float64(rows[i].Elapsed)
-		}
-	}
-	return rows, nil
-}
-
-// PrintScale writes the scalability table.
-func PrintScale(w io.Writer, programs int, rows []ScaleRow) {
-	fmt.Fprintf(w, "Scale: parallel make of %d programs (mk -j N), GOMAXPROCS=%d\n\n",
-		programs, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "  %-6s %-12s %12s %10s\n", "Jobs", "Agent Name", "Elapsed", "Speedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-6d %-12s %12s %9.2fx\n", r.Jobs, r.Agent, fmtDur(r.Elapsed), r.Speedup)
-	}
-	fmt.Fprintln(w)
-}
-
-// ScaleEntries converts scale rows to bench entries.
-func ScaleEntries(rows []ScaleRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{
-			Table:   "scale",
-			Row:     fmt.Sprintf("j%d-%s", r.Jobs, r.Agent),
-			NsPerOp: r.Elapsed.Nanoseconds(),
-		})
-	}
-	return es
+	return time.Since(start), nil
 }

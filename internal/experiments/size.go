@@ -5,8 +5,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 )
 
 // Statement counting behind Table 3-1. The paper counted semicolons in C++
@@ -22,52 +25,41 @@ func repoRoot() string {
 	return filepath.Dir(filepath.Dir(filepath.Dir(file)))
 }
 
-// CountStatements parses the named Go files and counts their statements:
-// every ast.Stmt except plain blocks, plus one per declaration — the
-// closest analog to the paper's semicolon metric.
-func CountStatements(files []string) (int, error) {
+// CountStatements parses the named Go files, and the non-test Go files
+// of the named package directories, and counts their statements: every
+// ast.Stmt except plain blocks, plus one per declaration — the closest
+// analog to the paper's semicolon metric.
+func CountStatements(paths []string) (int, error) {
 	fset := token.NewFileSet()
 	total := 0
-	for _, f := range files {
-		parsed, err := parser.ParseFile(fset, f, nil, 0)
-		if err != nil {
-			return 0, fmt.Errorf("experiments: parse %s: %w", f, err)
+	for _, path := range paths {
+		files := []string{path}
+		if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+			files, _ = filepath.Glob(filepath.Join(path, "*.go")) // fails only on a bad pattern
+			files = slices.DeleteFunc(files, isTestFile)
 		}
-		ast.Inspect(parsed, func(n ast.Node) bool {
-			switch n.(type) {
-			case *ast.BlockStmt:
-				// A block is punctuation, not a statement.
-			case ast.Stmt:
-				total++
-			case *ast.FuncDecl, *ast.GenDecl:
-				total++
+		for _, f := range files {
+			parsed, err := parser.ParseFile(fset, f, nil, 0)
+			if err != nil {
+				return 0, fmt.Errorf("experiments: parse %s: %w", f, err)
 			}
-			return true
-		})
+			ast.Inspect(parsed, func(n ast.Node) bool {
+				switch n.(type) {
+				case *ast.BlockStmt:
+					// A block is punctuation, not a statement.
+				case ast.Stmt:
+					total++
+				case *ast.FuncDecl, *ast.GenDecl:
+					total++
+				}
+				return true
+			})
+		}
 	}
 	return total, nil
 }
 
-// CountDir counts the statements in every non-test Go file of a package
-// directory.
-func CountDir(dir string) (int, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return 0, err
-	}
-	var files []string
-	for _, m := range matches {
-		if filepath.Ext(m) == ".go" && !isTestFile(m) {
-			files = append(files, m)
-		}
-	}
-	return CountStatements(files)
-}
-
-func isTestFile(path string) bool {
-	base := filepath.Base(path)
-	return len(base) > 8 && base[len(base)-8:] == "_test.go"
-}
+func isTestFile(path string) bool { return strings.HasSuffix(path, "_test.go") }
 
 // Toolkit layer groupings, mirroring the paper's accounting:
 // "the symbolic system call and lower levels" vs the descriptor, open
@@ -94,68 +86,49 @@ func ObjectLevelFiles() []string {
 	return corePath("descriptor.go", "openobj.go", "pathname.go", "directory.go", "downutil.go")
 }
 
-// Table31Row is one agent's code-size accounting.
-type Table31Row struct {
-	Agent    string
-	Toolkit  int
-	Specific int
-	Total    int
+// count returns a row round counting the statements of paths.
+func count(paths ...string) func() (float64, error) {
+	return func() (float64, error) {
+		n, err := CountStatements(paths)
+		return float64(n), err
+	}
 }
 
-// RunTable31 computes the agent size table.
-func RunTable31() ([]Table31Row, error) {
-	symbolic, err := CountStatements(SymbolicLevelFiles())
-	if err != nil {
-		return nil, err
-	}
-	object, err := CountStatements(ObjectLevelFiles())
-	if err != nil {
-		return nil, err
-	}
-	agentsDir := filepath.Join(repoRoot(), "internal", "agents")
-	rows := []Table31Row{}
+// table31 is the agent-size table: for each agent, the statements of the
+// toolkit layers it uses, of its own package, and their sum.
+func table31() *Table {
+	t := &Table{Name: "3-1", Title: "Table 3-1: Sizes of agents, measured in Go statements"}
+	symbolic := SymbolicLevelFiles()
 	for _, a := range []struct {
 		name    string
-		toolkit int
+		toolkit []string
 	}{
 		{"timex", symbolic},
 		{"trace", symbolic},
-		{"union", symbolic + object},
+		{"union", append(ObjectLevelFiles(), symbolic...)},
 	} {
-		specific, err := CountDir(filepath.Join(agentsDir, a.name))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Table31Row{
-			Agent:    a.name,
-			Toolkit:  a.toolkit,
-			Specific: specific,
-			Total:    a.toolkit + specific,
-		})
+		own := filepath.Join(repoRoot(), "internal", "agents", a.name)
+		t.Rows = append(t.Rows,
+			Row{Name: a.name + "/toolkit", Unit: Count, Measure: count(a.toolkit...)},
+			Row{Name: a.name + "/agent", Unit: Count, Measure: count(own)},
+			Row{Name: a.name + "/total", Unit: Count, Measure: count(append([]string{own}, a.toolkit...)...)})
 	}
-	return rows, nil
+	return t
 }
 
-// DFSTraceSizes compares the statement counts of the two tracing
-// implementations (the paper's "1627 vs 1584 statements" observation).
-// The kernel-based implementation is the tracer plumbing (tracer.go) plus
-// every hook call site scattered through the kernel's system call
-// implementations — the analog of the original's "modification of 26
-// kernel files ... under conditional compilation switches".
-func DFSTraceSizes() (kernelImpl, agentImpl int, err error) {
-	kernelImpl, err = CountStatements([]string{
-		filepath.Join(repoRoot(), "internal", "kernel", "tracer.go"),
-	})
+// kernelTraceStatements is the size of the kernel-based tracing
+// implementation (the paper's "1627 vs 1584 statements" observation): the
+// tracer plumbing (tracer.go) plus every hook call site scattered through
+// the kernel's system call implementations — the analog of the
+// original's "modification of 26 kernel files ... under conditional
+// compilation switches".
+func kernelTraceStatements() (float64, error) {
+	n, err := CountStatements([]string{filepath.Join(repoRoot(), "internal", "kernel", "tracer.go")})
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	hooks, err := CountKernelTraceHooks()
-	if err != nil {
-		return 0, 0, err
-	}
-	kernelImpl += hooks
-	agentImpl, err = CountDir(filepath.Join(repoRoot(), "internal", "agents", "dfstrace"))
-	return kernelImpl, agentImpl, err
+	return float64(n + hooks), err
 }
 
 // CountKernelTraceHooks counts the k.trace(...) hook call sites inserted

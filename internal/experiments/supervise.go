@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"interpose/internal/kernel"
-	"interpose/internal/sys"
 )
 
 // The supervision cost table ("sup"): what the agent supervisor costs at
@@ -15,71 +12,26 @@ import (
 // fast path (idle vs off), and the supervised interposed leg should add
 // only the containment bookkeeping (strict vs layer). The deadline row
 // shows the price of the goroutine-per-upcall variant, which is why
-// deadlines default to off.
+// deadlines default to off. The idle row (one atomic plan load over off)
+// and the strict row (the fully supervised interposed leg) are guarded.
 
-// SupRow is one measured supervision configuration.
-type SupRow struct {
-	Name string
-	Per  time.Duration
-}
-
-// RunSupervised measures the supervision cost rows, each in a fresh
-// world so caches and plans cannot leak across configurations.
-func RunSupervised() ([]SupRow, error) {
-	type cfg struct {
-		name      string
-		layer     bool // install a pass-through layer on the call path
-		supervise bool
-		deadline  time.Duration
-	}
-	cfgs := []cfg{
-		{name: "getpid()/off"},
-		{name: "getpid()/idle", supervise: true},
-		{name: "getpid()/layer", layer: true},
-		{name: "getpid()/strict", layer: true, supervise: true},
-		{name: "getpid()/deadline", layer: true, supervise: true, deadline: time.Second},
-	}
-	var rows []SupRow
-	for _, c := range cfgs {
-		k, err := World()
-		if err != nil {
-			return nil, err
-		}
-		p := measureProc(k)
-		if c.layer {
-			layer := kernel.NewEmuLayer(passThrough{})
-			layer.RegisterAll()
-			p.PushEmulation(layer)
-		}
-		if c.supervise {
+func supTable() *Table {
+	supervise := func(layer bool, deadline time.Duration) func(*kernel.Kernel, *kernel.Proc) {
+		return func(k *kernel.Kernel, p *kernel.Proc) {
+			if layer {
+				pushPassThrough(p)
+			}
 			k.SetSupervisor(kernel.NewSupervisor(k, kernel.SupervisorConfig{
 				Mode:     kernel.SuperviseStrict,
-				Deadline: c.deadline,
+				Deadline: deadline,
 			}))
 		}
-		rows = append(rows, SupRow{
-			Name: c.name,
-			Per:  Measure(func() { p.Syscall(sys.SYS_getpid, sys.Args{}) }),
-		})
 	}
-	return rows, nil
-}
-
-// PrintSup renders the supervision cost table.
-func PrintSup(w io.Writer, rows []SupRow) {
-	fmt.Fprintln(w, "Supervision cost (getpid, host-driven):")
-	fmt.Fprintf(w, "  %-34s %12s\n", "configuration", "per call")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-34s %12v\n", r.Name, r.Per)
-	}
-	fmt.Fprintln(w)
-}
-
-// SupEntries converts the rows for the bench JSON / baseline check.
-func SupEntries(rows []SupRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{Table: "sup", Row: r.Name, NsPerOp: r.Per.Nanoseconds()})
-	}
-	return es
+	return getpidTable("sup", "Supervision cost (getpid, host-driven)", []getpidCfg{
+		{name: "getpid()/off"},
+		{name: "getpid()/idle", guarded: true, install: supervise(false, 0)},
+		{name: "getpid()/layer", install: func(_ *kernel.Kernel, p *kernel.Proc) { pushPassThrough(p) }},
+		{name: "getpid()/strict", guarded: true, install: supervise(true, 0)},
+		{name: "getpid()/deadline", install: supervise(true, time.Second)},
+	})
 }

@@ -2,207 +2,111 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"runtime"
+	"path/filepath"
 	"time"
 
+	"interpose/internal/agents/dfstrace"
 	"interpose/internal/core"
 	"interpose/internal/kernel"
 )
 
-// MacroRow is one row of an application-level table: elapsed time under an
-// agent configuration and the slowdown relative to the no-agent row.
-type MacroRow struct {
-	Agent    string
-	Elapsed  time.Duration
-	Slowdown float64 // percent over "none"
-}
-
 // MacroStacks is the agent order of Tables 3-2 and 3-3.
 var MacroStacks = []string{"none", "timex", "trace", "union"}
 
-// measureStacks times one unit of work per agent stack, interleaving the
-// stacks round-robin across `runs` rounds (after one discarded round per
-// stack, as the paper discards an initial run) so that process-wide drift
-// — allocator growth, scheduler warmup — spreads evenly instead of
-// penalizing whichever stack went first. The garbage collector runs
-// between measurements.
-func measureStacks(runs int, stacks []string, work func(stack string) (time.Duration, error)) ([]MacroRow, error) {
-	totals := make(map[string]time.Duration, len(stacks))
-	// Discarded warm-up round.
-	for _, s := range stacks {
-		if _, err := work(s); err != nil {
-			return nil, err
-		}
+// stackEnv is a world of its own with an agent stack built in it.
+type stackEnv struct {
+	k      *kernel.Kernel
+	agents []core.Agent
+}
+
+// newStackEnv boots a world, prepares it and builds the named stack.
+func newStackEnv(stack string, prepare func(*kernel.Kernel) error) (stackEnv, error) {
+	k, err := World()
+	if err != nil {
+		return stackEnv{}, err
 	}
-	for r := 0; r < runs; r++ {
-		for _, s := range stacks {
-			runtime.GC()
-			d, err := work(s)
-			if err != nil {
-				return nil, err
+	if err := prepare(k); err != nil {
+		return stackEnv{}, err
+	}
+	agents, err := AgentStack(k, stack)
+	return stackEnv{k, agents}, err
+}
+
+// macroTable declares a Table 3-2/3-3 style table: one row per agent
+// stack, each timing work in a world of its own prepared by prepare, with
+// the slowdown over the uninterposed row.
+func macroTable(name, title string, prepare func(*kernel.Kernel) error, work func(stackEnv) (time.Duration, error)) *Table {
+	envs := make([]stackEnv, len(MacroStacks))
+	t := &Table{Name: name, Title: title, Derive: Slowdown, Setup: func() (err error) {
+		for i, s := range MacroStacks {
+			if envs[i], err = newStackEnv(s, prepare); err != nil {
+				return err
 			}
-			totals[s] += d
 		}
+		return nil
+	}}
+	for i, s := range MacroStacks {
+		t.Rows = append(t.Rows, Row{Name: s, Unit: Ns, Base: "none",
+			Measure: func() (float64, error) { return ns(work(envs[i])) }})
 	}
-	rows := make([]MacroRow, 0, len(stacks))
-	for _, s := range stacks {
-		rows = append(rows, MacroRow{Agent: s, Elapsed: totals[s] / time.Duration(runs)})
-	}
-	return rows, nil
+	return t
 }
 
-func fillSlowdowns(rows []MacroRow) {
-	base := rows[0].Elapsed
-	for i := range rows {
-		if i == 0 || base == 0 {
-			continue
-		}
-		rows[i].Slowdown = 100 * float64(rows[i].Elapsed-base) / float64(base)
-	}
+// table32 is "format my dissertation" under each agent stack.
+func table32() *Table {
+	var manuscript string
+	return macroTable("3-2", "Table 3-2: Time to format the dissertation",
+		func(k *kernel.Kernel) (err error) {
+			manuscript, err = SetupScribe(k)
+			return err
+		},
+		func(e stackEnv) (time.Duration, error) { return RunScribe(e.k, e.agents, manuscript) })
 }
 
-// macroEnv holds the per-stack world prepared for a macro table.
-type macroEnv struct {
-	k          *kernel.Kernel
-	agents     []core.Agent
-	manuscript string
+// table33 is "make N programs" under each agent stack.
+func table33(programs int) *Table {
+	return macroTable("3-3", fmt.Sprintf("Table 3-3: Time to make %d programs", programs),
+		func(k *kernel.Kernel) error { return SetupMake(k, programs) },
+		func(e stackEnv) (time.Duration, error) {
+			if err := CleanMake(e.k, programs); err != nil {
+				return 0, err
+			}
+			return RunMake(e.k, e.agents)
+		})
 }
 
-func prepareEnvs(stacks []string, setup func(k *kernel.Kernel) (string, error)) (map[string]*macroEnv, error) {
-	envs := make(map[string]*macroEnv, len(stacks))
-	for _, name := range stacks {
-		k, err := World()
-		if err != nil {
-			return nil, err
-		}
-		manuscript, err := setup(k)
-		if err != nil {
-			return nil, err
-		}
-		agents, err := AgentStack(k, name)
-		if err != nil {
-			return nil, err
-		}
-		envs[name] = &macroEnv{k: k, agents: agents, manuscript: manuscript}
+// dfsTable is the §3.5.3 comparison: the DFSTrace workload untraced,
+// under kernel tracing and under the dfstrace agent, with the records
+// each tracer collected in its last round and the statement counts of
+// the two implementations.
+func dfsTable() *Table {
+	var k *kernel.Kernel
+	kcl, acl := dfstrace.NewCollector(), dfstrace.NewCollector()
+	agent := []core.Agent{dfstrace.New(acl)}
+	t := &Table{Name: "dfs", Title: "DFSTrace comparison (paper §3.5.3)", Derive: Slowdown,
+		Setup: func() (err error) {
+			if k, err = World(); err != nil {
+				return err
+			}
+			return SetupMake(k, 2)
+		}}
+	t.Rows = []Row{
+		{Name: "untraced", Unit: Ns, Measure: func() (float64, error) { return ns(DFSTraceWorkload(k, nil)) }},
+		{Name: "kernel-based", Unit: Ns, Base: "untraced", Measure: func() (float64, error) {
+			kcl.Reset()
+			k.SetTracer(dfstrace.NewKernelTracer(kcl))
+			defer k.SetTracer(nil)
+			return ns(DFSTraceWorkload(k, nil))
+		}},
+		{Name: "dfstrace-agent", Unit: Ns, Base: "untraced", Measure: func() (float64, error) {
+			acl.Reset()
+			return ns(DFSTraceWorkload(k, agent))
+		}},
+		{Name: "kernel-based/records", Unit: Count, Measure: func() (float64, error) { return float64(kcl.Len()), nil }},
+		{Name: "dfstrace-agent/records", Unit: Count, Measure: func() (float64, error) { return float64(acl.Len()), nil }},
+		{Name: "kernel-based/statements", Unit: Count, Measure: kernelTraceStatements},
+		{Name: "dfstrace-agent/statements", Unit: Count,
+			Measure: count(filepath.Join(repoRoot(), "internal", "agents", "dfstrace"))},
 	}
-	return envs, nil
-}
-
-// RunTable32 measures "format my dissertation" under each agent stack,
-// averaging `runs` interleaved timed repetitions after a discarded round.
-func RunTable32(runs int) ([]MacroRow, error) {
-	envs, err := prepareEnvs(MacroStacks, SetupScribe)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := measureStacks(runs, MacroStacks, func(stack string) (time.Duration, error) {
-		e := envs[stack]
-		return RunScribe(e.k, e.agents, e.manuscript)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("table 3-2: %w", err)
-	}
-	fillSlowdowns(rows)
-	return rows, nil
-}
-
-// RunTable33 measures "make N programs" under each agent stack.
-func RunTable33(runs, programs int) ([]MacroRow, error) {
-	envs, err := prepareEnvs(MacroStacks, func(k *kernel.Kernel) (string, error) {
-		return "", SetupMake(k, programs)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows, err := measureStacks(runs, MacroStacks, func(stack string) (time.Duration, error) {
-		e := envs[stack]
-		if err := CleanMake(e.k, programs); err != nil {
-			return 0, err
-		}
-		return RunMake(e.k, e.agents)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("table 3-3: %w", err)
-	}
-	fillSlowdowns(rows)
-	return rows, nil
-}
-
-// Printing helpers shared by cmd/experiments and EXPERIMENTS.md updates.
-
-// PrintMacro writes a Table 3-2/3-3 style table.
-func PrintMacro(w io.Writer, title string, rows []MacroRow) {
-	fmt.Fprintf(w, "%s\n\n", title)
-	fmt.Fprintf(w, "  %-12s %12s %12s\n", "Agent Name", "Elapsed", "% Slowdown")
-	for _, r := range rows {
-		if r.Agent == "none" {
-			fmt.Fprintf(w, "  %-12s %12s %12s\n", r.Agent, fmtDur(r.Elapsed), "")
-			continue
-		}
-		fmt.Fprintf(w, "  %-12s %12s %11.1f%%\n", r.Agent, fmtDur(r.Elapsed), r.Slowdown)
-	}
-	fmt.Fprintln(w)
-}
-
-// PrintTable31 writes the agent-sizes table.
-func PrintTable31(w io.Writer, rows []Table31Row) {
-	fmt.Fprintf(w, "Table 3-1: Sizes of agents, measured in Go statements\n\n")
-	fmt.Fprintf(w, "  %-8s %10s %10s %10s\n", "Agent", "Toolkit", "Agent", "Total")
-	fmt.Fprintf(w, "  %-8s %10s %10s %10s\n", "Name", "Statements", "Statements", "Statements")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-8s %10d %10d %10d\n", r.Agent, r.Toolkit, r.Specific, r.Total)
-	}
-	fmt.Fprintln(w)
-}
-
-// PrintTable34 writes the low-level operations table.
-func PrintTable34(w io.Writer, t Table34) {
-	fmt.Fprintf(w, "Table 3-4: Performance of low-level operations\n\n")
-	fmt.Fprintf(w, "  %-52s %10s\n", "Operation", "per op")
-	fmt.Fprintf(w, "  %-52s %10s\n", "Go procedure call with 1 arg, result", fmtDur(t.ProcedureCall))
-	fmt.Fprintf(w, "  %-52s %10s\n", "Interface (virtual) call with 1 arg, result", fmtDur(t.InterfaceCall))
-	fmt.Fprintf(w, "  %-52s %10s\n", "Intercept and return from system call", fmtDur(t.InterceptReturn))
-	fmt.Fprintf(w, "  %-52s %10s\n", "Downcall (htg_unix_syscall) overhead", fmtDur(t.Downcall))
-	fmt.Fprintln(w)
-}
-
-// PrintTable35 writes the per-system-call table.
-func PrintTable35(w io.Writer, rows []Table35Row) {
-	fmt.Fprintf(w, "Table 3-5: Performance of individual system calls\n\n")
-	fmt.Fprintf(w, "  %-28s %12s %12s %12s\n", "Operation", "without", "with agent", "toolkit ovh")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-28s %12s %12s %12s\n", r.Name, fmtDur(r.Without), fmtDur(r.With), fmtDur(r.Overhead))
-	}
-	fmt.Fprintln(w)
-}
-
-// PrintDFSTrace writes the §3.5.3 comparison.
-func PrintDFSTrace(w io.Writer, r DFSTraceResult, kernelStmts, agentStmts int) {
-	fmt.Fprintf(w, "DFSTrace comparison (paper §3.5.3)\n\n")
-	slow := func(d time.Duration) float64 {
-		if r.Base == 0 {
-			return 0
-		}
-		return 100 * float64(d-r.Base) / float64(r.Base)
-	}
-	fmt.Fprintf(w, "  %-24s %12s %12s %10s\n", "Implementation", "Elapsed", "% Slowdown", "Records")
-	fmt.Fprintf(w, "  %-24s %12s %12s %10s\n", "untraced", fmtDur(r.Base), "", "")
-	fmt.Fprintf(w, "  %-24s %12s %11.1f%% %10d\n", "kernel-based", fmtDur(r.Kernel), slow(r.Kernel), r.KernelRecords)
-	fmt.Fprintf(w, "  %-24s %12s %11.1f%% %10d\n", "dfstrace agent", fmtDur(r.Agent), slow(r.Agent), r.AgentRecords)
-	fmt.Fprintf(w, "\n  Implementation sizes: kernel-based %d statements, agent-based %d statements\n\n",
-		kernelStmts, agentStmts)
-}
-
-func fmtDur(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	case d >= time.Millisecond:
-		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
-	case d >= time.Microsecond:
-		return fmt.Sprintf("%.2fµs", float64(d)/float64(time.Microsecond))
-	default:
-		return fmt.Sprintf("%dns", d.Nanoseconds())
-	}
+	return t
 }

@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-	"time"
-
-	"interpose/internal/sys"
+	"interpose/internal/kernel"
 	spantrace "interpose/internal/trace"
 )
 
@@ -14,62 +10,18 @@ import (
 // with no tracer installed the only cost is one atomic pointer load
 // (off), an installed tracer sampling at 1% costs one xorshift draw on
 // the unsampled majority (sampled), and only fully sampled calls pay for
-// clock reads and span recording (full).
+// clock reads and span recording (full). The off and sampled rows are
+// guarded.
 
-// TraceRow is one measured tracing configuration.
-type TraceRow struct {
-	Name string
-	Per  time.Duration
-}
-
-// RunTraceTable measures the tracing cost rows, each in a fresh world so
-// sampling state and span buffers cannot leak across configurations.
-func RunTraceTable() ([]TraceRow, error) {
-	type cfg struct {
-		name   string
-		sample float64 // < 0 means no tracer installed
-	}
-	cfgs := []cfg{
-		{name: "getpid()/off", sample: -1},
-		{name: "getpid()/sampled", sample: 0.01},
-		{name: "getpid()/full", sample: 1},
-	}
-	var rows []TraceRow
-	for _, c := range cfgs {
-		k, err := World()
-		if err != nil {
-			return nil, err
+func traceTable() *Table {
+	tracer := func(sample float64) func(*kernel.Kernel, *kernel.Proc) {
+		return func(k *kernel.Kernel, _ *kernel.Proc) {
+			k.SetSpanTracer(spantrace.NewTracer(spantrace.Config{Sample: sample, TailErrors: sample < 1}))
 		}
-		p := measureProc(k)
-		if c.sample >= 0 {
-			k.SetSpanTracer(spantrace.NewTracer(spantrace.Config{
-				Sample:     c.sample,
-				TailErrors: c.sample < 1,
-			}))
-		}
-		rows = append(rows, TraceRow{
-			Name: c.name,
-			Per:  Measure(func() { p.Syscall(sys.SYS_getpid, sys.Args{}) }),
-		})
 	}
-	return rows, nil
-}
-
-// PrintTrace renders the tracing cost table.
-func PrintTrace(w io.Writer, rows []TraceRow) {
-	fmt.Fprintln(w, "Tracing cost (getpid, host-driven):")
-	fmt.Fprintf(w, "  %-34s %12s\n", "configuration", "per call")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-34s %12v\n", r.Name, r.Per)
-	}
-	fmt.Fprintln(w)
-}
-
-// TraceEntries converts the rows for the bench JSON / baseline check.
-func TraceEntries(rows []TraceRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{Table: "trace", Row: r.Name, NsPerOp: r.Per.Nanoseconds()})
-	}
-	return es
+	return getpidTable("trace", "Tracing cost (getpid, host-driven)", []getpidCfg{
+		{name: "getpid()/off", guarded: true},
+		{name: "getpid()/sampled", guarded: true, install: tracer(0.01)},
+		{name: "getpid()/full", install: tracer(1)},
+	})
 }

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"time"
 
 	"interpose/internal/apps"
 	"interpose/internal/world"
@@ -34,13 +34,6 @@ import (
 // The session and idle-mem rows are guarded against BENCH_BASELINE.json
 // by the -check gate; the boot row rides along unguarded (it is noisy on
 // shared runners and the crash table already relation-guards boot cost).
-
-// WorlddRow is one measured row of the worldd table. Value is in
-// nanoseconds for the timed rows and bytes for the memory row.
-type WorlddRow struct {
-	Name  string
-	Value int64
-}
 
 // worlddFleet is the idle-fleet size of the idle-mem row.
 const worlddFleet = 10000
@@ -70,7 +63,7 @@ func apiCall(h http.Handler, method, path string, body []byte, out any) error {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code >= 300 {
-		return fmt.Errorf("worldd table: %s %s: status %d: %s", method, path, rec.Code, rec.Body.String())
+		return fmt.Errorf("%s %s: status %d: %s", method, path, rec.Code, rec.Body.String())
 	}
 	if out != nil {
 		return json.Unmarshal(rec.Body.Bytes(), out)
@@ -78,121 +71,102 @@ func apiCall(h http.Handler, method, path string, body []byte, out any) error {
 	return nil
 }
 
-// RunWorlddTable measures the worldd table.
-func RunWorlddTable(runs int) ([]WorlddRow, error) {
-	// Boot: the world-layer creation cost, no daemon in the way.
-	worlds := make([]*world.World, 0, worlddBoots)
-	start := time.Now()
-	for i := 0; i < worlddBoots; i++ {
-		w, err := world.Boot(apps.Spec())
-		if err != nil {
-			return nil, fmt.Errorf("worldd table: boot: %w", err)
-		}
-		worlds = append(worlds, w)
-	}
-	bootPer := time.Since(start) / worlddBoots
-	for _, w := range worlds {
-		if err := w.Close(); err != nil {
-			return nil, fmt.Errorf("worldd table: close: %w", err)
-		}
-	}
+// tenant is one world of a daemon, driven through the daemon's HTTP
+// handler.
+type tenant struct {
+	srv  *worldd.Server
+	h    http.Handler
+	exec string // the tenant's exec path
+}
 
-	// Session: the full daemon round trip on one long-lived tenant. One
-	// warm-up round, then runs timed rounds, like measureStacks.
-	// Health disabled: a watchdog probing a 10,000-world idle fleet
-	// would measure the probes, not the daemon (the resil table prices
-	// the watchdog on its own).
-	srv, err := worldd.New(worldd.Config{
-		Register: apps.Register,
-		Health:   worldd.HealthConfig{Disabled: true},
-	})
+// openTenant starts a daemon with cfg and creates one tenant from spec.
+func openTenant(cfg worldd.Config, spec string) (*tenant, error) {
+	srv, err := worldd.New(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("worldd table: %w", err)
-	}
-	h := srv.Handler()
-	var info worldd.Info
-	if err := apiCall(h, "POST", "/1.0/worlds", []byte(`{"name":"bench"}`), &info); err != nil {
 		return nil, err
 	}
-	execBody := []byte(`{"argv":["true"]}`)
-	session := func() (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < worlddSessions; i++ {
-			var res world.ExecResult
-			if err := apiCall(h, "POST", "/1.0/worlds/"+info.ID+"/exec", execBody, &res); err != nil {
+	var info worldd.Info
+	if err := apiCall(srv.Handler(), "POST", "/1.0/worlds", []byte(spec), &info); err != nil {
+		srv.Shutdown(context.Background())
+		return nil, err
+	}
+	return &tenant{srv: srv, h: srv.Handler(), exec: "/1.0/worlds/" + info.ID + "/exec"}, nil
+}
+
+var execTrue = []byte(`{"argv":["true"]}`)
+
+// session is one exec round trip of /bin/true through the daemon.
+func (t *tenant) session() error {
+	var res world.ExecResult
+	if err := apiCall(t.h, "POST", t.exec, execTrue, &res); err != nil {
+		return err
+	}
+	if res.Status != 0 {
+		return fmt.Errorf("session exited %d", res.Status)
+	}
+	return nil
+}
+
+// close drains the tenant's daemon.
+func (t *tenant) close() error { return t.srv.Shutdown(context.Background()) }
+
+// bootClose boots one full application world and closes it.
+func bootClose() error {
+	w, err := world.Boot(apps.Spec())
+	if err != nil {
+		return err
+	}
+	return w.Close()
+}
+
+// worlddTable measures the worldd table. Health is disabled on its
+// daemons: a watchdog probing a 10,000-world idle fleet would measure the
+// probes, not the daemon (the resil table prices the watchdog on its own).
+func worlddTable() *Table {
+	noHealth := worldd.Config{Register: apps.Register, Health: worldd.HealthConfig{Disabled: true}}
+	var bench *tenant
+	t := &Table{Name: "worldd",
+		Title: fmt.Sprintf("Multi-tenant worlds (lifecycle layer + worldd, %d-world idle fleet)", worlddFleet),
+		Setup: func() (err error) {
+			bench, err = openTenant(noHealth, `{"name":"bench"}`)
+			return err
+		},
+		Close: func() error { return bench.close() }}
+	t.Rows = []Row{
+		// Boot: the world-layer creation cost, no daemon in the way; the
+		// worlds close after the clock stops.
+		{Name: "boot", Unit: Ns, Measure: func() (float64, error) {
+			worlds := make([]*world.World, 0, worlddBoots)
+			per, err := perCall(worlddBoots, func() error {
+				w, err := world.Boot(apps.Spec())
+				if err == nil {
+					worlds = append(worlds, w)
+				}
+				return err
+			})
+			for _, w := range worlds {
+				err = errors.Join(err, w.Close())
+			}
+			return per, err
+		}},
+		{Name: "session", Unit: Ns, Guarded: true, Measure: func() (float64, error) {
+			return perCall(worlddSessions, bench.session)
+		}},
+		// Idle fleet: the per-world heap floor at 10k worlds, created and
+		// drained through a daemon of its own so the table and teardown
+		// paths are the ones a deployment pays.
+		{Name: "idle-mem/world", Unit: Bytes, Guarded: true, Measure: func() (float64, error) {
+			srv, err := worldd.New(noHealth)
+			if err != nil {
 				return 0, err
 			}
-			if res.Status != 0 {
-				return 0, fmt.Errorf("worldd table: session exited %d", res.Status)
+			h, spec, base := srv.Handler(), []byte(`{"name":"idle"}`), heapAlloc()
+			for i := 0; i < worlddFleet && err == nil; i++ {
+				err = apiCall(h, "POST", "/1.0/worlds", spec, nil)
 			}
-		}
-		return time.Since(start), nil
+			perWorld := float64(heapAlloc()-base) / worlddFleet
+			return perWorld, errors.Join(err, srv.Shutdown(context.Background()))
+		}},
 	}
-	if _, err := session(); err != nil { // warm-up
-		return nil, err
-	}
-	// Best-of-runs, with a GC before each round: the 500-boot loop above
-	// leaves a heap's worth of dead worlds, and this row is guarded by
-	// the baseline gate — a mean would let one collection pause or
-	// scheduler stall on a shared runner read as a regression, while the
-	// best round is the cost the daemon actually pays.
-	var sessionBest time.Duration
-	for r := 0; r < runs; r++ {
-		runtime.GC()
-		d, err := session()
-		if err != nil {
-			return nil, err
-		}
-		if r == 0 || d < sessionBest {
-			sessionBest = d
-		}
-	}
-	sessionPer := sessionBest / worlddSessions
-
-	// Idle fleet: the per-world heap floor at 10k worlds, created and
-	// later drained through the daemon itself so the table and teardown
-	// paths are the ones a deployment pays.
-	base := heapAlloc()
-	createBody := []byte(`{"name":"idle"}`)
-	for i := 0; i < worlddFleet; i++ {
-		if err := apiCall(h, "POST", "/1.0/worlds", createBody, nil); err != nil {
-			return nil, err
-		}
-	}
-	perWorld := int64((heapAlloc() - base) / worlddFleet)
-	if err := srv.Shutdown(context.Background()); err != nil {
-		return nil, fmt.Errorf("worldd table: drain: %w", err)
-	}
-
-	return []WorlddRow{
-		{Name: "boot", Value: bootPer.Nanoseconds()},
-		{Name: "session", Value: sessionPer.Nanoseconds()},
-		{Name: "idle-mem/world", Value: perWorld},
-	}, nil
-}
-
-// PrintWorldd renders the worldd table.
-func PrintWorldd(w io.Writer, rows []WorlddRow) {
-	fmt.Fprintf(w, "Multi-tenant worlds (lifecycle layer + worldd, %d-world idle fleet):\n", worlddFleet)
-	for _, r := range rows {
-		switch r.Name {
-		case "session":
-			fmt.Fprintf(w, "  %-16s %10dns   (%.0f sessions/sec)\n", r.Name, r.Value, 1e9/float64(r.Value))
-		case "idle-mem/world":
-			fmt.Fprintf(w, "  %-16s %10dB   (%.1f MB for the fleet)\n", r.Name, r.Value,
-				float64(r.Value)*worlddFleet/1e6)
-		default:
-			fmt.Fprintf(w, "  %-16s %10dns\n", r.Name, r.Value)
-		}
-	}
-	fmt.Fprintln(w)
-}
-
-// WorlddEntries converts the rows for the bench JSON / baseline check.
-func WorlddEntries(rows []WorlddRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{Table: "worldd", Row: r.Name, NsPerOp: r.Value})
-	}
-	return es
+	return t
 }

@@ -112,6 +112,24 @@ func TestFleetMetricsDropsSharedGauges(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
+	// A sampled-traced tenant reports its sample rate, and a supervised
+	// tenant whose layer panics reports that layer's breaker state: a
+	// setting and an enum, neither of which adds across worlds.
+	traced := c.create(world.Spec{Name: "traced", Telemetry: true, Trace: &world.TraceSpec{Sample: 0.5}})
+	if res := c.exec(traced, "echo", "hi"); res.Status != 0 {
+		t.Fatalf("echo in traced: status %d", res.Status)
+	}
+	supervised := c.create(world.Spec{
+		Name:      "supervised",
+		Agents:    []string{"faulty=seed=1,write=panic@1"},
+		Telemetry: true,
+		Supervise: &world.SuperviseSpec{Mode: "strict", TripThreshold: 2},
+	})
+	for i := 0; i < 3; i++ {
+		if res := c.exec(supervised, "echo", "doomed"); !res.Exited() {
+			t.Fatalf("supervised session killed: %+v", res)
+		}
+	}
 
 	var m worldd.Metrics
 	if st := c.do("GET", "/1.0/metrics", nil, &m); st != http.StatusOK {
@@ -120,15 +138,22 @@ func TestFleetMetricsDropsSharedGauges(t *testing.T) {
 	if len(m.Pools) != 1 || m.Pools[0].Hits+m.Pools[0].Misses != 3 {
 		t.Fatalf("pools = %+v, want one pool with 3 acquires", m.Pools)
 	}
-	var dentryHits bool
+	var dentryHits, layerPanics bool
 	for _, row := range m.Telemetry.Counters {
-		if strings.HasPrefix(row.Name, "pool.") || strings.HasPrefix(row.Name, "health.") {
+		if strings.HasPrefix(row.Name, "pool.") || strings.HasPrefix(row.Name, "health.") ||
+			row.Name == "trace.sample_ppm" ||
+			strings.HasPrefix(row.Name, "supervise.layer.") && strings.HasSuffix(row.Name, ".state") {
 			t.Errorf("fleet telemetry sums per-world copy of %s = %d", row.Name, row.Value)
 		}
 		dentryHits = dentryHits || row.Name == "vfs.dentry.hit"
+		layerPanics = layerPanics || strings.HasPrefix(row.Name, "supervise.layer.") &&
+			strings.HasSuffix(row.Name, ".panics") && row.Value > 0
 	}
-	if !dentryHits {
+	if !dentryHits || !layerPanics {
 		t.Fatalf("fleet telemetry lost the additive gauge rows: %+v", m.Telemetry.Counters)
+	}
+	if out := c.exec(traced, "cat", "/dev/metrics").Output; !strings.Contains(out, "trace.sample_ppm") {
+		t.Errorf("tenant /dev/metrics lacks trace.sample_ppm:\n%s", out)
 	}
 
 	out := c.exec(ids[0], "cat", "/dev/metrics").Output

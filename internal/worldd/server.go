@@ -892,13 +892,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // fleetTelemetry merges the fleet's registries and drops the rows that
 // do not add across worlds: every member of a pool reports that pool's
-// pool.* gauges, and health.state is an enum. The fleet view carries
-// both in its own pools, health and recoveries fields; a tenant's own
-// /dev/metrics keeps them.
+// pool.* gauges, health.state and each supervise.layer.<name>.state
+// breaker are enums, and trace.sample_ppm is a per-world setting. The
+// fleet view carries pools and health in its own pools, health and
+// recoveries fields; a tenant's own /dev/metrics keeps every row. The
+// supervise.layer.* counters (panics, trips, ...) do add and stay.
 func fleetTelemetry(regs []*telemetry.Registry) telemetry.Snapshot {
 	t := telemetry.Merge(regs)
 	t.Counters = slices.DeleteFunc(t.Counters, func(c telemetry.NamedCounter) bool {
-		return strings.HasPrefix(c.Name, "pool.") || strings.HasPrefix(c.Name, "health.")
+		return strings.HasPrefix(c.Name, "pool.") || strings.HasPrefix(c.Name, "health.") ||
+			c.Name == "trace.sample_ppm" ||
+			strings.HasPrefix(c.Name, "supervise.layer.") && strings.HasSuffix(c.Name, ".state")
 	})
 	return t
 }
