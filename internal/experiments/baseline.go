@@ -83,6 +83,8 @@ var Relations = []Relation{
 		Why: "restoring a checkpoint must beat a full boot"},
 	{Left: "pool:acquire-hit", Right: "pool:boot", Factor: 0.4,
 		Why: "a pool-hit acquire must be far cheaper than the boot it replaces (the <50µs-vs-~113µs claim)"},
+	{Left: "pool:fork", Right: "pool:boot", Factor: 1.0,
+		Why: "a copy-on-write fork must beat the boot it replaces (worldd makes every tenant by forking its base world)"},
 	{Left: "pool:fork/large", Right: "pool:fork", Factor: 2.0,
 		Why: "COW fork cost must be O(#inodes): 256x the file bytes may not move the fork time"},
 	{Left: "resil:recover/pool", Right: "resil:boot", Factor: 1.0,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"interpose/internal/apps"
 	"interpose/internal/kernel"
@@ -24,7 +25,10 @@ import (
 //     relation gate holds it within 2x of the small fork;
 //   - acquire-hit: Pool.Acquire with a warm stack — the cost a pooled
 //     worldd tenant actually pays on the request path, a mutex-guarded
-//     stack pop plus gauge wiring.
+//     stack pop plus gauge wiring. One pop is a few hundred ns, so a
+//     round drains fresh pools until at least poolAcquireSpan of pops
+//     is timed; a round of a single 64-deep pool (~20 µs) was dominated
+//     by scheduling.
 //
 // The acquire-hit and fork rows are guarded absolutely against
 // BENCH_BASELINE.json; the byte-size independence and the
@@ -36,10 +40,13 @@ const (
 	poolBoots = 200
 	// poolForks is the per-round fork count of the fork rows.
 	poolForks = 200
-	// poolAcquires is the warm-stack depth and per-round acquire count
-	// of the acquire-hit row: a fresh pool pre-warmed to this depth is
-	// drained exactly once, so every timed acquire is a hit.
+	// poolAcquires is the warm-stack depth of the acquire-hit row: each
+	// fresh pool pre-warmed to this depth is drained exactly once, so
+	// every timed acquire is a hit.
 	poolAcquires = 64
+	// poolAcquireSpan is the least acquire time one acquire-hit round
+	// times; rounds repeat fresh pools until they reach it.
+	poolAcquireSpan = time.Millisecond
 	// poolTreeFiles is the bench-tree inode count of both fork
 	// templates; only the per-file byte size differs between them.
 	poolTreeFiles = 64
@@ -88,46 +95,61 @@ func forkClose(tmpl *world.World) func() error {
 	}
 }
 
-// acquireHit drains a fresh pool pre-warmed to poolAcquires members
-// exactly once and returns the cost of one acquire. Acquires only pop the
-// warm stack, so every timed acquire is a hit regardless of how far the
-// background refiller gets.
-func acquireHit() (float64, error) {
-	p, err := world.NewPool(apps.Spec(), poolAcquires)
-	if err != nil {
-		return 0, err
-	}
+// acquireHit times Pool.Acquire on warm stacks and returns the cost of
+// one acquire. Fresh pools of poolAcquires members, forked from base,
+// are each drained exactly once until at least poolAcquireSpan of
+// acquires is timed; pool construction and teardown stay outside the
+// timer. Acquires only pop the warm stack, so every timed acquire is a
+// hit regardless of how far the background refiller gets.
+func acquireHit(base *world.World) (float64, error) {
+	var timed time.Duration
+	n := 0
 	worlds := make([]*world.World, 0, poolAcquires)
-	per, err := perCall(poolAcquires, func() error {
-		w, err := p.Acquire()
-		if err == nil {
-			worlds = append(worlds, w)
+	for timed < poolAcquireSpan {
+		p, err := world.NewPoolFrom(base, apps.Spec(), poolAcquires)
+		if err != nil {
+			return 0, err
 		}
-		return err
-	})
-	if s := p.Stats(); err == nil && s.Misses > 0 {
-		err = fmt.Errorf("%d misses on a pre-warmed pool", s.Misses)
+		worlds = worlds[:0]
+		start := time.Now()
+		for i := 0; i < poolAcquires && err == nil; i++ {
+			var w *world.World
+			if w, err = p.Acquire(); err == nil {
+				worlds = append(worlds, w)
+			}
+		}
+		timed += time.Since(start)
+		n += len(worlds)
+		if s := p.Stats(); err == nil && s.Misses > 0 {
+			err = fmt.Errorf("%d misses on a pre-warmed pool", s.Misses)
+		}
+		for _, w := range worlds {
+			err = errors.Join(err, w.Close())
+		}
+		if err = errors.Join(err, p.Close()); err != nil {
+			return 0, err
+		}
 	}
-	for _, w := range worlds {
-		err = errors.Join(err, w.Close())
-	}
-	return per, errors.Join(err, p.Close())
+	return float64(timed) / float64(n), nil
 }
 
 // poolTable measures the pool table.
 func poolTable() *Table {
-	var small, large *world.World
+	var bare, small, large *world.World
 	return &Table{Name: "pool",
 		Title: fmt.Sprintf("Warm pools and COW forking (%d-file bench tree, %dB vs %dB files)",
 			poolTreeFiles, poolSmallFile, poolLargeFile),
 		Setup: func() (err error) {
+			if bare, err = world.Boot(apps.Spec()); err != nil {
+				return err
+			}
 			if small, err = poolTemplate(poolSmallFile); err != nil {
 				return err
 			}
 			large, err = poolTemplate(poolLargeFile)
 			return err
 		},
-		Close: func() error { return errors.Join(small.Close(), large.Close()) },
+		Close: func() error { return errors.Join(small.Close(), large.Close(), bare.Close()) },
 		Rows: []Row{
 			{Name: "boot", Unit: Ns, Measure: func() (float64, error) { return perCall(poolBoots, bootClose) }},
 			{Name: "fork", Unit: Ns, Guarded: true, Measure: func() (float64, error) {
@@ -136,7 +158,9 @@ func poolTable() *Table {
 			{Name: "fork/large", Unit: Ns, Measure: func() (float64, error) {
 				return perCall(poolForks, forkClose(large))
 			}},
-			{Name: "acquire-hit", Unit: Ns, Guarded: true, Measure: acquireHit},
+			{Name: "acquire-hit", Unit: Ns, Guarded: true, Measure: func() (float64, error) {
+				return acquireHit(bare)
+			}},
 		},
 	}
 }

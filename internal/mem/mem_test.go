@@ -8,13 +8,33 @@ import (
 	"interpose/internal/sys"
 )
 
+// TestCopyRoundTrip: a copy that fits below the break round-trips
+// byte for byte; one that crosses the break fails with EFAULT and
+// leaves the data segment exactly as it was. quick.Check draws offsets
+// over the whole segment, so a random run only sometimes crosses the
+// break; the fixed cases below always do.
 func TestCopyRoundTrip(t *testing.T) {
+	const segment = 64 * 1024
 	a := NewAS()
-	if e := a.SetBrk(DataBase + 64*1024); e != sys.OK {
+	if e := a.SetBrk(DataBase + segment); e != sys.OK {
 		t.Fatal(e)
 	}
+	before := make([]byte, segment)
+	after := make([]byte, segment)
 	f := func(data []byte, off uint16) bool {
 		addr := DataBase + sys.Word(off)
+		if int(off)+len(data) > segment {
+			if e := a.CopyIn(DataBase, before); e != sys.OK {
+				return false
+			}
+			if e := a.CopyOut(addr, data); e != sys.EFAULT {
+				return false
+			}
+			if e := a.CopyIn(DataBase, after); e != sys.OK {
+				return false
+			}
+			return bytes.Equal(before, after)
+		}
 		if e := a.CopyOut(addr, data); e != sys.OK {
 			return false
 		}
@@ -26,6 +46,14 @@ func TestCopyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		n   int
+		off uint16
+	}{{46, 0xffee}, {1, 0xffff}, {2, 0xffff}, {segment - 1, 2}} {
+		if !f(bytes.Repeat([]byte{0xa5}, c.n), c.off) {
+			t.Fatalf("copy of %d bytes at offset %#x", c.n, c.off)
+		}
 	}
 }
 

@@ -52,120 +52,134 @@ import (
 // not keep the parent's drivers, or guest I/O would cross worlds — and
 // may be nil only when the tree holds no device nodes. The parent must
 // be quiesced (no running mutators) for cross-inode consistency.
+//
+// The clone is one recursive pass from the root: each directory's
+// entries are wired to their clones and each child's parent pointer to
+// the directory's clone as the pass descends, and every directory keeps
+// the parent's iteration order exactly. No path strings are built and
+// nothing is sorted. Only an inode reachable under more than one name —
+// a hard-linked file — goes through the clones map, so it clones once.
 func (fs *FS) Fork(clock func() time.Time, resolve func(rdev uint32) (Device, bool)) (*FS, error) {
 	if clock == nil {
 		clock = fs.clock
 	}
 	child := &FS{dev: fs.dev, clock: clock}
-
-	// Pass one: clone every reachable inode (hard links visit once).
-	// forkDir remembers each directory's listing so pass two can wire
-	// entries and parents to the clones.
-	type forkDir struct {
-		clone  *Inode
-		parent *Inode // original
-		names  []string
-		kids   []*Inode // originals
+	f := forker{child: child, resolve: resolve}
+	root, err := f.clone(fs.root, nil)
+	if err != nil {
+		return nil, err
 	}
-	clones := map[*Inode]*Inode{}
-	var dirs []forkDir
-	var walkErr error
-	fs.walkTree(func(path string, ip *Inode) {
-		if walkErr != nil {
-			return
-		}
-		ip.mu.RLock()
-		c := &Inode{
-			fs:    child,
-			Ino:   ip.Ino,
-			typ:   ip.typ,
-			Mode:  ip.Mode,
-			Nlink: ip.Nlink,
-			UID:   ip.UID,
-			GID:   ip.GID,
-			Rdev:  ip.Rdev,
-			Atime: ip.Atime,
-			Mtime: ip.Mtime,
-			Ctime: ip.Ctime,
-			link:  ip.link,
-		}
-		switch ip.typ {
-		case sys.S_IFREG:
-			c.data = ip.data
-			if len(ip.data) > 0 {
-				refs := ip.dataRefs.Load()
-				if refs == nil {
-					nr := &atomic.Int32{}
-					nr.Store(1)
-					// CAS arbitrates concurrent forks; a mutator cannot
-					// intervene (it needs the write lock we read-hold).
-					if !ip.dataRefs.CompareAndSwap(nil, nr) {
-						refs = ip.dataRefs.Load()
-					} else {
-						refs = nr
-					}
-				}
-				refs.Add(1)
-				c.dataRefs.Store(refs)
-			}
-		case sys.S_IFDIR:
-			c.entries = make(map[string]*Inode, len(ip.entries))
-			pp := ip.parentPtr()
-			if pp == nil {
-				pp = ip
-			}
-			dirs = append(dirs, forkDir{
-				clone:  c,
-				parent: pp,
-				names:  append([]string(nil), ip.order...),
-				kids: func() []*Inode {
-					ks := make([]*Inode, len(ip.order))
-					for i, n := range ip.order {
-						ks[i] = ip.entries[n]
-					}
-					return ks
-				}(),
-			})
-		case sys.S_IFCHR:
-			if resolve != nil {
-				if dev, ok := resolve(ip.Rdev); ok {
-					c.dev = dev
-				}
-			}
-			if c.dev == nil {
-				walkErr = fmt.Errorf("vfs: fork: device %d:%d (%s) has no driver in the child",
-					ip.Rdev>>8, ip.Rdev&0xff, path)
-			}
-		}
-		// Share the immutable attribute snapshot; chmod/chown republish a
-		// fresh one, never mutate it in place.
-		c.attrs.Store(ip.attrs.Load())
-		ip.mu.RUnlock()
-		if c.attrs.Load() == nil {
-			c.publishAttrs()
-		}
-		clones[ip] = c
-	})
-	if walkErr != nil {
-		return nil, walkErr
-	}
-
-	// Pass two: wire directory entries and parent pointers to the clones.
-	for _, d := range dirs {
-		for i, name := range d.names {
-			kid := clones[d.kids[i]]
-			if kid == nil {
-				continue // raced with a concurrent remove; quiesced callers never see this
-			}
-			d.clone.entries[name] = kid
-			d.clone.order = append(d.clone.order, name)
-		}
-		d.clone.setParent(clones[d.parent])
-	}
-
-	child.root = clones[fs.root]
+	child.root = root
 	child.nextIno.Store(fs.nextIno.Load())
-	child.ninodes.Store(int64(len(clones)))
+	child.ninodes.Store(f.n)
 	child.jnlSeq.Store(fs.jnlSeq.Load())
 	return child, nil
+}
+
+// forker carries one Fork's state through the recursive clone.
+type forker struct {
+	child   *FS
+	resolve func(rdev uint32) (Device, bool)
+	n       int64             // inodes cloned
+	linked  map[*Inode]*Inode // original → clone, for hard-linked files only
+}
+
+// clone copies ip into the child and, for a directory, recurses into
+// its entries. parent is the clone of the directory ip was reached
+// from (nil for the root, whose ".." is itself). Each inode's read lock
+// is held only while its own fields are copied — never across the
+// recursion — so Fork never holds two inode locks at once.
+func (f *forker) clone(ip, parent *Inode) (*Inode, error) {
+	ip.mu.RLock()
+	// A non-directory with more than one link is a hard-linked file:
+	// the first name reached clones it, every later name reuses that.
+	linked := ip.typ != sys.S_IFDIR && ip.Nlink > 1
+	if linked {
+		if c := f.linked[ip]; c != nil {
+			ip.mu.RUnlock()
+			return c, nil
+		}
+	}
+	c := &Inode{
+		fs:    f.child,
+		Ino:   ip.Ino,
+		typ:   ip.typ,
+		Mode:  ip.Mode,
+		Nlink: ip.Nlink,
+		UID:   ip.UID,
+		GID:   ip.GID,
+		Rdev:  ip.Rdev,
+		Atime: ip.Atime,
+		Mtime: ip.Mtime,
+		Ctime: ip.Ctime,
+		link:  ip.link,
+	}
+	var kids []*Inode // a directory's original children, in order
+	switch ip.typ {
+	case sys.S_IFREG:
+		c.data = ip.data
+		if len(ip.data) > 0 {
+			refs := ip.dataRefs.Load()
+			if refs == nil {
+				nr := &atomic.Int32{}
+				nr.Store(1)
+				// CAS arbitrates concurrent forks; a mutator cannot
+				// intervene (it needs the write lock we read-hold).
+				if !ip.dataRefs.CompareAndSwap(nil, nr) {
+					refs = ip.dataRefs.Load()
+				} else {
+					refs = nr
+				}
+			}
+			refs.Add(1)
+			c.dataRefs.Store(refs)
+		}
+	case sys.S_IFDIR:
+		c.order = append(make([]string, 0, len(ip.order)), ip.order...)
+		kids = make([]*Inode, len(ip.order))
+		for i, name := range ip.order {
+			kids[i] = ip.entries[name]
+		}
+	case sys.S_IFCHR:
+		if f.resolve != nil {
+			if dev, ok := f.resolve(ip.Rdev); ok {
+				c.dev = dev
+			}
+		}
+	}
+	// Share the immutable attribute snapshot; chmod/chown republish a
+	// fresh one, never mutate it in place.
+	c.attrs.Store(ip.attrs.Load())
+	ip.mu.RUnlock()
+	if c.typ == sys.S_IFCHR && c.dev == nil {
+		return nil, fmt.Errorf("vfs: fork: device %d:%d (inode %d) has no driver in the child",
+			ip.Rdev>>8, ip.Rdev&0xff, ip.Ino)
+	}
+	if c.attrs.Load() == nil {
+		c.publishAttrs()
+	}
+	f.n++
+	if linked {
+		if f.linked == nil {
+			f.linked = make(map[*Inode]*Inode)
+		}
+		f.linked[ip] = c
+	}
+
+	if c.typ != sys.S_IFDIR {
+		return c, nil
+	}
+	if parent == nil {
+		parent = c
+	}
+	c.setParent(parent)
+	c.entries = make(map[string]*Inode, len(kids))
+	for i, kid := range kids {
+		kc, err := f.clone(kid, c)
+		if err != nil {
+			return nil, err
+		}
+		c.entries[c.order[i]] = kc
+	}
+	return c, nil
 }

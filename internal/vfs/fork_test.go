@@ -367,3 +367,92 @@ func TestForkChainRefcounts(t *testing.T) {
 		t.Fatal("parent bytes changed under descendant writes")
 	}
 }
+
+// TestForkHardLinkOneInode: a file reachable under two names is one
+// inode in the child, with its link count kept. A write through one
+// name shows through the other in the child and never in the parent.
+func TestForkHardLinkOneInode(t *testing.T) {
+	fs := buildForkFS(t)
+	orig := mustLookup(t, fs, "/data/f00")
+	a := mustLookup(t, fs, "/a")
+	if err := fs.Link(a, "alias", orig, root0); err != sys.OK {
+		t.Fatal(err)
+	}
+	child, err := fs.Fork(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1 := mustLookup(t, child, "/data/f00")
+	c2 := mustLookup(t, child, "/a/alias")
+	if c1 != c2 {
+		t.Fatal("hard link cloned into two inodes")
+	}
+	if c1.Nlink != 2 || c1.Ino != orig.Ino {
+		t.Fatalf("child link: nlink %d ino %d, want 2 and %d", c1.Nlink, c1.Ino, orig.Ino)
+	}
+	if _, werr := c1.WriteAt([]byte("CHILD"), 0, 0); werr != sys.OK {
+		t.Fatal(werr)
+	}
+	if got := c2.Bytes(); !bytes.HasPrefix(got, []byte("CHILD")) {
+		t.Fatalf("write through one name not seen through the other: %q", got[:8])
+	}
+	if got := mustLookup(t, fs, "/a/alias").Bytes(); !bytes.Equal(got, pattern(0, 512)) {
+		t.Fatal("child write through a hard link reached the parent")
+	}
+	mustClean(t, "child", child)
+	mustClean(t, "parent", fs)
+}
+
+// TestForkKeepsReaddirOrder: a directory's iteration order is insertion
+// order, not sorted order, and the child lists it exactly as the
+// parent does.
+func TestForkKeepsReaddirOrder(t *testing.T) {
+	fs := New(nil)
+	d, err := fs.Mkdir(fs.Root(), "d", 0o755, root0)
+	if err != sys.OK {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"zeta", "alpha", "mid", "beta", "omega"} {
+		if _, err := fs.Create(d, name, 0o644, root0); err != sys.OK {
+			t.Fatal(err)
+		}
+	}
+	// A removal in the middle leaves an order no sort reproduces.
+	if err := fs.Unlink(d, "mid", root0); err != sys.OK {
+		t.Fatal(err)
+	}
+	child, ferr := fs.Fork(nil, nil)
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	want, _ := d.Dirents()
+	got, _ := mustLookup(t, child, "/d").Dirents()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("child readdir %v, parent %v", got, want)
+	}
+	if want[2].Name != "zeta" {
+		t.Fatalf("fixture is sorted: %v", want)
+	}
+}
+
+// TestForkCensusMatches: right after a fork the child's inode count and
+// fsck verdict agree with the parent's, as does its state hash.
+func TestForkCensusMatches(t *testing.T) {
+	fs := buildForkFS(t)
+	if err := fs.Link(mustLookup(t, fs, "/a"), "alias", mustLookup(t, fs, "/data/f03"), root0); err != sys.OK {
+		t.Fatal(err)
+	}
+	child, err := fs.Fork(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if child.NumInodes() != fs.NumInodes() {
+		t.Fatalf("child has %d inodes, parent %d", child.NumInodes(), fs.NumInodes())
+	}
+	if pb, cb := fs.Check(), child.Check(); fmt.Sprint(pb) != fmt.Sprint(cb) || len(cb) != 0 {
+		t.Fatalf("fsck: parent %v, child %v", pb, cb)
+	}
+	if child.StateHash() != fs.StateHash() {
+		t.Fatal("child state hash differs from the parent's")
+	}
+}

@@ -12,15 +12,18 @@ import (
 // Pool keeps N pre-warmed copy-on-write clones of one template world so
 // that acquiring a session world is a stack pop, not a boot. The
 // template is booted once — image registry, program installs, Setup
-// hooks — and every member is a Fork of it; the boot cost is paid off
-// the request path, by NewPool and by the asynchronous refiller.
+// hooks — and every member is a Fork of it; the fork cost is paid off
+// the request path, by the constructor and by the asynchronous refiller.
+// NewPool boots a private template; NewPoolFrom forks a template the
+// caller already has (a server's one base world shared by all its
+// pools) and leaves it open on Close.
 //
 // Handout is LIFO: the most recently forked member is the one whose
 // inode structs and dentry paths are most likely still cache-warm.
 // Members are consumed, not returned — a used world carries tenant
 // state, and a fresh fork is cheaper than any scrub would be. Close the
 // acquired world as usual when the session ends; Close the pool to tear
-// down the warm stack and the template.
+// down the warm stack (and the template, when NewPool booted it).
 //
 // Acquire on an empty pool forks inline (a miss): still far cheaper
 // than a boot, since the template's filesystem is shared copy-on-write.
@@ -30,6 +33,7 @@ type Pool struct {
 	spec     Spec
 	target   int
 	template *World
+	ownsTmpl bool // NewPool booted the template; Close closes it
 
 	mu        sync.Mutex
 	warm      []*World // LIFO: acquire pops, refill pushes
@@ -56,25 +60,13 @@ type PoolStats struct {
 	RefillNs int64 `json:"refill_ns"`
 }
 
-// NewPool boots the template from spec and pre-warms target members
-// synchronously, so the first Acquire already hits. spec is the MEMBER
-// spec: every acquired world gets its declared facilities (telemetry,
-// tracer, journal, agents). The template itself boots bare — Register
-// and Setup only — since it never runs sessions.
-//
-// Restore specs are refused (a pool's members come from the template,
-// not a checkpoint), as are file-backed journals: one journal file
-// backs one live world, which is irreconcilable with N identical
-// members. JournalMem is fine — each member gets its own store.
+// NewPool boots a private template from spec and pre-warms target
+// members from it (see NewPoolFrom). The template boots bare — Register
+// and Setup only — since it never runs sessions; the pool owns it and
+// Close closes it.
 func NewPool(spec Spec, target int) (*Pool, error) {
-	if target < 1 {
-		return nil, fmt.Errorf("world: pool %q: target %d, want >= 1", spec.Name, target)
-	}
-	if spec.RestorePath != "" || spec.RestoreFrom != nil {
-		return nil, fmt.Errorf("world: pool %q: cannot pool a restore spec", spec.Name)
-	}
-	if spec.JournalPath != "" {
-		return nil, fmt.Errorf("world: pool %q: file journals are per-world; pooled members must use journal_mem", spec.Name)
+	if err := checkPoolSpec(spec, target); err != nil {
+		return nil, err
 	}
 	tmpl, err := Boot(Spec{
 		Name:     spec.Name + "/template",
@@ -84,9 +76,34 @@ func NewPool(spec Spec, target int) (*Pool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("world: pool %q: template: %w", spec.Name, err)
 	}
-	p := &Pool{spec: spec, target: target, template: tmpl}
+	p, err := NewPoolFrom(tmpl, spec, target)
+	if err != nil {
+		tmpl.Close()
+		return nil, err
+	}
+	p.ownsTmpl = true
+	return p, nil
+}
+
+// NewPoolFrom pre-warms target forks of template synchronously, so the
+// first Acquire already hits. spec is the MEMBER spec: every acquired
+// world gets its declared facilities (telemetry, tracer, journal,
+// agents); its Register and Setup are not consulted, since members
+// inherit the template's images and filesystem. The caller keeps
+// ownership of template: Close leaves it open, and the caller must
+// close it only after every pool forking from it is closed.
+//
+// Restore specs are refused (a pool's members come from the template,
+// not a checkpoint), as are file-backed journals: one journal file
+// backs one live world, which is irreconcilable with N identical
+// members. JournalMem is fine — each member gets its own store.
+func NewPoolFrom(template *World, spec Spec, target int) (*Pool, error) {
+	if err := checkPoolSpec(spec, target); err != nil {
+		return nil, err
+	}
+	p := &Pool{spec: spec, target: target, template: template}
 	for i := 0; i < target; i++ {
-		w, err := Fork(tmpl, spec)
+		w, err := Fork(template, spec)
 		if err != nil {
 			p.Close()
 			return nil, fmt.Errorf("world: pool %q: warm: %w", spec.Name, err)
@@ -94,6 +111,20 @@ func NewPool(spec Spec, target int) (*Pool, error) {
 		p.warm = append(p.warm, w)
 	}
 	return p, nil
+}
+
+// checkPoolSpec refuses what no pool can serve (see NewPoolFrom).
+func checkPoolSpec(spec Spec, target int) error {
+	if target < 1 {
+		return fmt.Errorf("world: pool %q: target %d, want >= 1", spec.Name, target)
+	}
+	if spec.RestorePath != "" || spec.RestoreFrom != nil {
+		return fmt.Errorf("world: pool %q: cannot pool a restore spec", spec.Name)
+	}
+	if spec.JournalPath != "" {
+		return fmt.Errorf("world: pool %q: file journals are per-world; pooled members must use journal_mem", spec.Name)
+	}
+	return nil
 }
 
 // Template returns the pool's template world (for fleet-level
@@ -211,10 +242,11 @@ func (p *Pool) Gauges() []telemetry.NamedCounter {
 }
 
 // Close tears the pool down: the refiller is stopped and awaited, every
-// warm member and the template are closed. Worlds already acquired are
-// the caller's to close. The first teardown error is returned; a
-// lingering background-refill failure is surfaced if nothing else went
-// wrong.
+// warm member is closed, and so is the template if NewPool booted it (a
+// NewPoolFrom template stays open for its owner). Worlds already
+// acquired are the caller's to close. The first teardown error is
+// returned; a lingering background-refill failure is surfaced if
+// nothing else went wrong.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -243,7 +275,7 @@ func (p *Pool) Close() error {
 			firstErr = err
 		}
 	}
-	if p.template != nil {
+	if p.ownsTmpl {
 		if err := p.template.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}

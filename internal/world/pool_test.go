@@ -134,6 +134,59 @@ func TestPoolClose(t *testing.T) {
 	}
 }
 
+// TestPoolFromSharedTemplate: two pools forked from one caller-owned
+// template. Closing them leaves the template open and forkable, and
+// NewPool's own template is closed with its pool.
+func TestPoolFromSharedTemplate(t *testing.T) {
+	base, err := Boot(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	a, err := NewPoolFrom(base, Spec{Name: "a"}, 1)
+	if err != nil {
+		t.Fatalf("pool a: %v", err)
+	}
+	b, err := NewPoolFrom(base, Spec{Name: "b", JournalMem: true}, 2)
+	if err != nil {
+		t.Fatalf("pool b: %v", err)
+	}
+	if a.Template() != base || b.Template() != base {
+		t.Fatal("pools do not share the caller's template")
+	}
+	w, err := b.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := w.Kernel().ReadFile("/state"); err != nil || string(data) != "template\n" {
+		t.Fatalf("member state %q, %v", data, err)
+	}
+	w.Close()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	child, err := Fork(base, Spec{Name: "after"})
+	if err != nil {
+		t.Fatalf("template closed with its pools: %v", err)
+	}
+	child.Close()
+
+	own, err := NewPool(tinySpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := own.Template()
+	if err := own.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fork(tmpl, Spec{Name: "late"}); err == nil {
+		t.Fatal("NewPool's template survived its pool")
+	}
+}
+
 // TestPoolCloseRefillerRace hammers Acquire from several goroutines
 // while Close lands mid-refill (run under -race). The contract under
 // test: once Close returns, the refiller has observed closed and will

@@ -280,7 +280,8 @@ func Boot(spec Spec) (*World, error) {
 // without serializing through a checkpoint: the kernel is forked
 // copy-on-write (kernel.Fork → vfs.FS.Fork), so the cost is O(#inodes)
 // and independent of how many bytes the template's filesystem holds.
-// This is the warm-pool fast path (pool.go).
+// This is the warm-pool fast path (pool.go) and the way the
+// multi-tenant server makes every tenant from its one base world.
 //
 // The child gets the facilities spec declares — its own telemetry
 // registry, tracer, injector, supervisor, journal, agent stack — wired

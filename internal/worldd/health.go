@@ -18,9 +18,10 @@
 // left. Dead is acted on: the world is condemned (world.Kill, which
 // fails new sessions fast and breaks a wedged one loose with SIGKILL),
 // torn down via world.Close (sealing its journal), and rebuilt through
-// the cheapest valid path — a warm-pool fork for pooled tenants, a
-// journal replay + fsck-gated boot otherwise — under exponential
-// backoff with deterministic jitter and a per-tenant restart budget.
+// the cheapest valid path — a warm-pool acquire for pooled tenants, a
+// fork of the base world plus fsck-gated journal replay otherwise —
+// under exponential backoff with deterministic jitter and a per-tenant
+// restart budget.
 //
 // # Signals
 //
@@ -32,7 +33,7 @@
 // path installed at adopt so an injected crash is noticed the moment it
 // fires, not a sweep later), session age against the deadline, and a
 // periodic probe run through the normal Exec path while the world is
-// idle. fsck failures surface as Boot errors on the rebuild path and
+// idle. fsck failures surface as Fork errors on the rebuild path and
 // consume restart budget like any other failed attempt.
 //
 // # Lock ordering
@@ -209,7 +210,7 @@ func (s *Server) rand() uint64 {
 
 // backoff returns the wait before recovery attempt n: base·2^n capped
 // at max, then jittered to [d/2, d) so simultaneous recoveries across
-// tenants do not stampede the boot path in lockstep.
+// tenants do not stampede the rebuild path in lockstep.
 func (s *Server) backoff(attempt int) time.Duration {
 	h := s.cfg.Health
 	d := h.BackoffMax
@@ -423,9 +424,9 @@ func (s *Server) startRecovery(e *entry) {
 // budget check, teardown of the old incarnation (Kill + Close — the
 // close seals the journal), then the cheapest valid rebuild path — a
 // warm-pool acquire for pooled tenants, a journal-replaying fsck-gated
-// Boot otherwise. A failed rebuild consumes budget and retries; an
-// exhausted budget parks the tenant (terminal until DELETE). The loop
-// aborts cleanly on drain or DELETE.
+// Fork of the base otherwise. A failed rebuild consumes budget and
+// retries; an exhausted budget parks the tenant (terminal until
+// DELETE). The loop aborts cleanly on drain or DELETE.
 func (s *Server) recoverLoop(e *entry) {
 	defer s.recWG.Done()
 	defer e.recovering.Store(false)
@@ -472,7 +473,7 @@ func (s *Server) recoverLoop(e *entry) {
 		if e.pool != nil {
 			nw, err = e.pool.Acquire()
 		} else {
-			nw, err = world.Boot(e.spec)
+			nw, err = world.Fork(s.base, e.spec)
 		}
 		if err != nil {
 			e.mu.Unlock()

@@ -18,23 +18,44 @@
 // to a file inside its own state directory (one live world per file,
 // enforced by a reservation held until Close), and `restore` is refused
 // outright, so no tenant can make the daemon open, append to, or
-// truncate a host file of its choosing. A wire spec with `pool` > 0 is
-// served from a warm pool instead of a boot: worlds with identical
-// specs (name and pool size aside) share one pool of pre-forked
-// copy-on-write template clones, so tenant creation is a stack pop off
-// the request path (see world.Pool); pooled members are otherwise
-// ordinary tenants — they run sessions, stay fully isolated (COW
-// unsharing means a write in one never appears in a sibling), and are
-// closed, not recycled, on DELETE. Idle worlds run zero goroutines;
-// the per-world cost is the kernel's in-memory filesystem plus whatever
-// facilities the spec opted into (telemetry registries carry latency
-// histograms and a flight ring, so memory-conscious fleets leave
-// Telemetry off and rely on the server's own session counters).
+// truncate a host file of its choosing.
+//
+// # One base world
+//
+// New boots exactly one world, the base: Config.Register's images and
+// Config.Setup's fixtures, nothing else (the wire spec cannot carry
+// Setup, so every tenant's filesystem would be identical anyway). Every
+// tenant is a copy-on-write fork of it (world.Fork): plain creates,
+// journal_mem creates, file-journal creates (the journal is replayed
+// onto the fork and fsck-gated, exactly as onto a boot — a fork keeps
+// the base's inode numbers, so journals recorded against booted worlds
+// still replay) and health-recovery rebuilds. Three consequences:
+//
+//   - a create costs a fork of the base's inodes, not a boot: no image
+//     registry, no program installs, no Setup hooks on the request path;
+//   - a new tenant's file timestamps are the base's boot time, not the
+//     create time (the fork copies inodes, times included);
+//   - a failing Config.Setup hook fails New, instead of every create.
+//
+// A wire spec with `pool` > 0 is served from a warm pool of pre-forked
+// base clones: worlds with identical specs (name and pool size aside)
+// share one pool, so tenant creation is a stack pop off the request
+// path (see world.Pool); pooled members are otherwise ordinary tenants
+// — they run sessions, stay fully isolated (COW unsharing means a write
+// in one never appears in a sibling), and are closed, not recycled, on
+// DELETE. Shutdown closes the pools and then the base.
+//
+// Idle worlds run zero goroutines; the per-world cost is the kernel's
+// in-memory filesystem (file data arrays stay shared with the base
+// until a tenant writes them) plus whatever facilities the spec opted
+// into (telemetry registries carry latency histograms and a flight
+// ring, so memory-conscious fleets leave Telemetry off and rely on the
+// server's own session counters).
 //
 // # Lock ordering
 //
 // Server.mu guards only the world table (id → entry) and the draining
-// flag. Every world operation — Boot, Exec, Close — runs OUTSIDE
+// flag. Every world operation — Fork, Exec, Close — runs OUTSIDE
 // Server.mu: handlers look the entry up under the lock, release it, and
 // then call into the world, which serializes its own sessions on its
 // own lock. Server.mu is therefore never held while a world lock is,
@@ -69,9 +90,10 @@ import (
 // Config wires the server to its world template: the host-side hooks a
 // wire Spec cannot carry.
 type Config struct {
-	// Register populates every world's image registry (required).
+	// Register populates the base world's image registry (required).
 	Register func(*image.Registry)
-	// Setup hooks prepended to every world's Setup (optional fixtures).
+	// Setup hooks build the base world's filesystem (optional fixtures);
+	// they run once, in New, and every tenant inherits their result.
 	Setup []func(*kernel.Kernel) error
 	// StateDir is the directory holding tenant journal files. A wire
 	// spec's `journal` field is a bare key, not a host path: the server
@@ -114,7 +136,7 @@ type entry struct {
 	gone atomic.Bool
 
 	w       atomic.Pointer[world.World]
-	spec    world.Spec  // sanitized boot spec, reused by recovery rebuilds
+	spec    world.Spec  // sanitized wire spec, reused by recovery rebuilds
 	pool    *world.Pool // non-nil for pooled tenants (rebuild = Acquire)
 	journal string      // reserved journal host path, "" if none
 
@@ -156,7 +178,7 @@ type Info struct {
 	// Restarts counts successful automatic recoveries.
 	Restarts uint64 `json:"restarts,omitempty"`
 	// RebuildNs is the mean nanoseconds per successful rebuild (the
-	// teardown + boot/acquire cost, excluding detection and backoff).
+	// teardown + fork/acquire cost, excluding detection and backoff).
 	RebuildNs int64 `json:"rebuild_ns,omitempty"`
 }
 
@@ -195,7 +217,7 @@ type Metrics struct {
 
 // poolSlot is one warm-world pool plus its create-once latch. The slot
 // is inserted into the pool table under Server.mu, but the expensive
-// pool construction (template boot + N forks) runs outside it, guarded
+// pool construction (N forks of the base world) runs outside it, guarded
 // by the slot's own once — concurrent first creates for the same spec
 // wait for one construction instead of racing N.
 type poolSlot struct {
@@ -209,6 +231,11 @@ type poolSlot struct {
 // ordering discipline.
 type Server struct {
 	cfg Config
+
+	// base is the one booted world every tenant is forked from: plain
+	// and journaled creates, pools and recovery rebuilds alike. It never
+	// runs sessions; Shutdown closes it last.
+	base *world.World
 
 	mu       sync.Mutex
 	worlds   map[string]*entry
@@ -255,8 +282,13 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	cfg.Health = cfg.Health.withDefaults()
+	base, err := world.Boot(world.Spec{Name: "base", Register: cfg.Register, Setup: cfg.Setup})
+	if err != nil {
+		return nil, fmt.Errorf("worldd: base world: %w", err)
+	}
 	s := &Server{
 		cfg:      cfg,
+		base:     base,
 		worlds:   make(map[string]*entry),
 		journals: make(map[string]string),
 		pools:    make(map[string]*poolSlot),
@@ -300,7 +332,7 @@ func (s *Server) journalFile(key string) (string, error) {
 }
 
 // releaseJournal returns a journal file to the pool. It must run only
-// after the holding world's Close (or a failed Boot): the FileStore has
+// after the holding world's Close (or a failed Fork): the FileStore has
 // the file open — final group commit included — until then, and a new
 // world must never append to it concurrently. No-op for the empty path.
 func (s *Server) releaseJournal(path string) {
@@ -394,8 +426,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.closed.Add(1)
 	}
 
-	// Pools go last: their warm members and templates are not in the
-	// world table, and closing a pool stops its background refiller.
+	// Pools go next: their warm members are not in the world table, and
+	// closing a pool stops its background refiller.
 	s.mu.Lock()
 	slots := make([]*poolSlot, 0, len(s.pools))
 	for _, slot := range s.pools {
@@ -411,6 +443,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if cerr := slot.pool.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
+	}
+	// The base goes last: nothing forks from it any more.
+	if cerr := s.base.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 
 	s.logf("worldd: drained %d worlds", len(victims))
@@ -479,11 +515,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The wire spec carries budgets and options; the server owns the
-	// host-side wiring. Host paths never cross the socket: restores are
-	// refused, and the journal field is a key mapped into the server's
-	// own state directory.
-	spec.Register = s.cfg.Register
-	spec.Setup = append(append([]func(*kernel.Kernel) error{}, s.cfg.Setup...), spec.Setup...)
+	// host-side wiring. Images and fixtures come from the base world
+	// every tenant is forked from. Host paths never cross the socket:
+	// restores are refused, and the journal field is a key mapped into
+	// the server's own state directory.
 	spec.RestoreFrom = nil
 	spec.Mirror = nil
 	spec.OnQuarantine = nil
@@ -524,7 +559,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	// One live world per journal file: two FileStores appending to the
 	// same host file would interleave frames and corrupt it beyond
-	// recovery. The reservation is taken before Boot opens the file and
+	// recovery. The reservation is taken before Fork opens the file and
 	// held until the holder's Close has closed it.
 	if jpath != "" {
 		if _, busy := s.journals[jpath]; busy {
@@ -540,12 +575,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	// Boot outside the table lock: a journal replay can be slow, and
+	// Fork outside the table lock: a journal replay can be slow, and
 	// siblings must not wait on it.
-	wd, err := world.Boot(spec)
+	wd, err := world.Fork(s.base, spec)
 	if err != nil {
 		s.releaseJournal(jpath)
-		httpError(w, http.StatusBadRequest, "boot: %v", err)
+		httpError(w, http.StatusBadRequest, "create: %v", err)
 		return
 	}
 	e := &entry{ID: id, Name: spec.Name, Created: time.Now(), journal: jpath,
@@ -602,10 +637,10 @@ func (s *Server) createFromPool(w http.ResponseWriter, spec world.Spec) {
 	id := fmt.Sprintf("w%d", s.nextID)
 	s.mu.Unlock()
 
-	// Build the pool outside every server lock (template boot + N warm
-	// forks); concurrent first creates wait here instead of racing.
+	// Build the pool outside every server lock (N warm forks of the
+	// base); concurrent first creates wait here instead of racing.
 	slot.once.Do(func() {
-		slot.pool, slot.err = world.NewPool(spec, spec.Pool)
+		slot.pool, slot.err = world.NewPoolFrom(s.base, spec, spec.Pool)
 	})
 	if slot.err != nil {
 		// A failed construction does not poison the key forever.
