@@ -42,7 +42,7 @@ func Recover(k *kernel.Kernel, shadowRoot string) (bool, error) {
 	shadowRoot = gopath.Clean(shadowRoot)
 	fs := k.FS()
 	marker := shadowRoot + markerName
-	mip, e := fs.Lookup(fs.Root(), marker, recoverCred, true)
+	mip, e := fs.Lookup(nil, nil, marker, recoverCred, true)
 	if e == sys.ENOENT {
 		return false, nil
 	}
@@ -70,7 +70,7 @@ func Recover(k *kernel.Kernel, shadowRoot string) (bool, error) {
 			}
 			continue
 		}
-		sip, e := fs.Lookup(fs.Root(), shadowRoot+it.path, recoverCred, false)
+		sip, e := fs.Lookup(nil, nil, shadowRoot+it.path, recoverCred, false)
 		if e == sys.ENOENT {
 			// The shadow copy never became durable; with the marker synced
 			// first that cannot happen for real commits, but a marker from
@@ -92,7 +92,7 @@ func Recover(k *kernel.Kernel, shadowRoot string) (bool, error) {
 			if err := k.Remove(it.path); err != nil {
 				return false, err
 			}
-			dir, name, _, e := fs.LookupParent(fs.Root(), it.path, recoverCred)
+			dir, name, _, e := fs.LookupParent(nil, nil, it.path, recoverCred)
 			if e != sys.OK {
 				return false, fmt.Errorf("txn: recover %s: %w", it.path, e)
 			}
@@ -104,7 +104,7 @@ func Recover(k *kernel.Kernel, shadowRoot string) (bool, error) {
 		if err := k.WriteFile(it.path, sip.Bytes(), st.Mode&0o7777); err != nil {
 			return false, err
 		}
-		if rip, e := fs.Lookup(fs.Root(), it.path, recoverCred, false); e == sys.OK {
+		if rip, e := fs.Lookup(nil, nil, it.path, recoverCred, false); e == sys.OK {
 			fs.Chmod(rip, st.Mode&0o7777, recoverCred)
 			fs.Chown(rip, st.UID, st.GID, recoverCred)
 		}
@@ -114,7 +114,7 @@ func Recover(k *kernel.Kernel, shadowRoot string) (bool, error) {
 	// crashed commit had renamed it into the undo area) is simply done.
 	sort.Slice(removes, func(i, j int) bool { return len(removes[i].path) > len(removes[j].path) })
 	for _, it := range removes {
-		dir, name, existing, e := fs.LookupParent(fs.Root(), it.path, recoverCred)
+		dir, name, existing, e := fs.LookupParent(nil, nil, it.path, recoverCred)
 		if e == sys.ENOENT {
 			continue
 		}

@@ -130,7 +130,7 @@ var parentKeys = []string{
 	"3-5:fork(), wait(), _exit()/with", "3-5:execve()/without", "3-5:execve()/with",
 	"dfs:untraced", "dfs:kernel-based", "dfs:dfstrace-agent",
 	"scale:j1-none", "scale:j2-none", "scale:j4-none", "scale:j8-none", "scale:j4-trace",
-	"scale:j4-stat-cache-on", "scale:j4-stat-cache-off",
+	"scale:j4-stat",
 	"obs:make-under-trace",
 	"sup:getpid()/off", "sup:getpid()/idle", "sup:getpid()/layer", "sup:getpid()/strict", "sup:getpid()/deadline",
 	"trace:getpid()/off", "trace:getpid()/sampled", "trace:getpid()/full",

@@ -31,13 +31,12 @@ const StatHeavyOps = 20000
 // scaleTable measures mk -j N over the job ladder, for the bare kernel
 // and under the trace agent stack (showing interposition composes with
 // concurrency), each configuration in a world of its own; the speedup is
-// over the serial row. The pathname-cache rows run a stat-heavy parallel
-// workload (StatHeavyJobs guests each performing StatHeavyOps stat calls
-// on the same path) with the VFS name/attribute cache on and off; the
-// cache-on row's speedup over cache-off is the cache's speedup factor.
+// over the serial row. The stat row runs a stat-heavy parallel workload
+// (StatHeavyJobs guests each performing StatHeavyOps stat calls on the
+// same path) through the VFS name/attribute cache.
 func scaleTable(programs int) *Table {
 	t := &Table{Name: "scale", Derive: Speedup, Title: fmt.Sprintf(
-		"Scale: parallel make of %d programs (mk -j N), GOMAXPROCS=%d; stat-cache rows: %d jobs x %d stats",
+		"Scale: parallel make of %d programs (mk -j N), GOMAXPROCS=%d; stat row: %d jobs x %d stats",
 		programs, runtime.GOMAXPROCS(0), StatHeavyJobs, StatHeavyOps)}
 	type cfg struct {
 		jobs  int
@@ -49,20 +48,15 @@ func scaleTable(programs int) *Table {
 	}
 	cfgs = append(cfgs, cfg{4, "trace"})
 	envs := make([]stackEnv, len(cfgs))
-	var statWorlds [2]*kernel.Kernel // cache on, off
+	var statWorld *kernel.Kernel
 	t.Setup = func() (err error) {
 		for i, c := range cfgs {
 			if envs[i], err = newStackEnv(c.stack, func(k *kernel.Kernel) error { return SetupMake(k, programs) }); err != nil {
 				return err
 			}
 		}
-		for i := range statWorlds {
-			if statWorlds[i], err = World(); err != nil {
-				return err
-			}
-			statWorlds[i].FS().SetNameCache(i == 0)
-		}
-		return nil
+		statWorld, err = World()
+		return err
 	}
 	serial := fmt.Sprintf("j%d-none", ScaleJobs[0])
 	for i, c := range cfgs {
@@ -74,11 +68,8 @@ func scaleTable(programs int) *Table {
 				return ns(RunMakeJ(envs[i].k, envs[i].agents, c.jobs))
 			}})
 	}
-	off := fmt.Sprintf("j%d-stat-cache-off", StatHeavyJobs)
-	for i, name := range []string{fmt.Sprintf("j%d-stat-cache-on", StatHeavyJobs), off} {
-		t.Rows = append(t.Rows, Row{Name: name, Unit: Ns, Base: off,
-			Measure: func() (float64, error) { return ns(statHeavy(statWorlds[i])) }})
-	}
+	t.Rows = append(t.Rows, Row{Name: fmt.Sprintf("j%d-stat", StatHeavyJobs), Unit: Ns,
+		Measure: func() (float64, error) { return ns(statHeavy(statWorld)) }})
 	return t
 }
 

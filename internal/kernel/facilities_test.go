@@ -178,3 +178,32 @@ func TestFacilitySettersCompose(t *testing.T) {
 			crashed, k.Telemetry(), k.SpanTracer(), k.Supervisor())
 	}
 }
+
+// TestEmulationStackLimit: a stack of MaxLayers layers dispatches to its
+// top layer through the interest bitmap; pushing one more panics.
+func TestEmulationStackLimit(t *testing.T) {
+	p := kernel.New(image.NewRegistry()).NewProc()
+	var top int
+	for i := 0; i < kernel.MaxLayers; i++ {
+		l := kernel.NewEmuLayer(sys.HandlerFunc(func(c sys.Ctx, num int, a sys.Args) (sys.Retval, sys.Errno) {
+			top = i
+			return callDown(c, num, a)
+		}))
+		if i == kernel.MaxLayers-1 {
+			l.Register(sys.SYS_getpid)
+		}
+		p.PushEmulation(l)
+	}
+	if _, err := p.Syscall(sys.SYS_getpid, sys.Args{}); err != sys.OK || top != kernel.MaxLayers-1 {
+		t.Fatalf("getpid: %v, top layer %d, want %d", err, top, kernel.MaxLayers-1)
+	}
+	if m := p.InterestMask(sys.SYS_getpid); m != 1<<(kernel.MaxLayers-1) {
+		t.Fatalf("InterestMask = %#x", m)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("pushing layer MaxLayers+1 did not panic")
+		}
+	}()
+	p.PushEmulation(kernel.NewEmuLayer(sys.HandlerFunc(callDown)))
+}

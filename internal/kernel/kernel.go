@@ -21,6 +21,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -357,7 +358,7 @@ func (k *Kernel) makeTree() {
 // mustLookup resolves a path during boot; failure is a boot invariant
 // violation (the path was created lines earlier in makeTree).
 func mustLookup(fs *vfs.FS, path string) *vfs.Inode {
-	ip, err := fs.Lookup(fs.Root(), path, rootCred, true)
+	ip, err := fs.Lookup(nil, nil, path, rootCred, true)
 	if err != sys.OK {
 		panic("kernel: boot lookup " + path)
 	}
@@ -378,7 +379,7 @@ func (k *Kernel) InstallProgram(path, name string) error {
 // WriteFile creates (or truncates) a file at path with the given contents,
 // as the super-user. It is a world-building convenience, not a system call.
 func (k *Kernel) WriteFile(path string, data []byte, perm uint32) error {
-	dir, name, existing, err := k.fs.LookupParent(k.fs.Root(), path, rootCred)
+	dir, name, existing, err := k.fs.LookupParent(nil, nil, path, rootCred)
 	if err != sys.OK {
 		return fmt.Errorf("kernel: writefile %s: %w", path, err)
 	}
@@ -400,7 +401,7 @@ func (k *Kernel) WriteFile(path string, data []byte, perm uint32) error {
 // Remove unlinks the file at path as the super-user (world building and
 // test cleanup); missing files are not an error.
 func (k *Kernel) Remove(path string) error {
-	dir, name, existing, err := k.fs.LookupParent(k.fs.Root(), path, rootCred)
+	dir, name, existing, err := k.fs.LookupParent(nil, nil, path, rootCred)
 	if err != sys.OK {
 		return fmt.Errorf("kernel: remove %s: %w", path, err)
 	}
@@ -415,7 +416,7 @@ func (k *Kernel) Remove(path string) error {
 
 // ReadFile returns the contents of the file at path, as the super-user.
 func (k *Kernel) ReadFile(path string) ([]byte, error) {
-	ip, err := k.fs.Lookup(k.fs.Root(), path, rootCred, true)
+	ip, err := k.fs.Lookup(nil, nil, path, rootCred, true)
 	if err != sys.OK {
 		return nil, fmt.Errorf("kernel: readfile %s: %w", path, err)
 	}
@@ -424,19 +425,22 @@ func (k *Kernel) ReadFile(path string) ([]byte, error) {
 
 // MkdirAll creates path and any missing parents, as the super-user.
 func (k *Kernel) MkdirAll(path string, perm uint32) error {
-	parts, _, _ := vfs.SplitPath(path)
 	cur := k.fs.Root()
-	for _, p := range parts {
-		next, err := k.fs.Lookup(cur, p, rootCred, true)
+	for rest := path; ; {
+		var name string
+		name, rest, _ = strings.Cut(strings.TrimLeft(rest, "/"), "/")
+		if name == "" {
+			return nil
+		}
+		next, err := k.fs.Lookup(nil, cur, name, rootCred, true)
 		if err == sys.ENOENT {
-			next, err = k.fs.Mkdir(cur, p, perm, rootCred)
+			next, err = k.fs.Mkdir(cur, name, perm, rootCred)
 		}
 		if err != sys.OK {
 			return fmt.Errorf("kernel: mkdirall %s: %w", path, err)
 		}
 		cur = next
 	}
-	return nil
 }
 
 // Console is the system console: a tty whose output is captured and whose

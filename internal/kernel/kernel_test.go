@@ -483,7 +483,7 @@ func TestSetuidExecBit(t *testing.T) {
 	k.InstallProgram("/bin/main", "main")
 	k.InstallProgram("/bin/privileged", "privileged")
 	// Mark the image set-uid root.
-	ip, err := k.FS().Lookup(k.FS().Root(), "/bin/privileged", rootCredForTest(), true)
+	ip, err := k.FS().Lookup(nil, nil, "/bin/privileged", rootCredForTest(), true)
 	if err != sys.OK {
 		t.Fatal(err)
 	}

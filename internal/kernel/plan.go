@@ -6,10 +6,10 @@ import (
 	"interpose/internal/sys"
 )
 
-// planMaxLayers bounds the stack depth the per-syscall interest bitmaps
-// cover. Deeper stacks (never seen in practice) fall back to the linear
-// Wants walk.
-const planMaxLayers = 32
+// MaxLayers bounds a process's emulation stack: the per-syscall interest
+// bitmaps have one bit per layer. PushEmulation refuses a deeper stack,
+// and world.Attach refuses a spec with more agents.
+const MaxLayers = 32
 
 // dispatchPlan is the compiled form of a process's emulation stack: an
 // immutable snapshot of the layers, their preboxed call contexts, and a
@@ -28,8 +28,7 @@ type dispatchPlan struct {
 
 	// interest[num] has bit i set when layers[i] intercepts call num;
 	// allMask covers out-of-range numbers (blanket-interest layers only).
-	// nil when the stack is deeper than planMaxLayers (fallback walk).
-	interest *[sys.MaxSyscall]uint32
+	interest [sys.MaxSyscall]uint32
 	allMask  uint32
 }
 
@@ -37,8 +36,7 @@ type dispatchPlan struct {
 var emptyPlan = &dispatchPlan{}
 
 // interestBelow returns the interested-layer bitmap for num restricted to
-// layers strictly below index `below`. Callers must check that the plan
-// has a bitmap (interest != nil) first.
+// layers strictly below index `below`.
 func (pl *dispatchPlan) interestBelow(below, num int) uint32 {
 	var m uint32
 	if num >= 0 && num < sys.MaxSyscall {
@@ -46,7 +44,7 @@ func (pl *dispatchPlan) interestBelow(below, num int) uint32 {
 	} else {
 		m = pl.allMask
 	}
-	if below < planMaxLayers {
+	if below < MaxLayers {
 		m &= 1<<uint(below) - 1
 	}
 	return m
@@ -66,10 +64,6 @@ func compilePlan(p *Proc, layers []*EmuLayer) *dispatchPlan {
 	for i := range layers {
 		pl.ctxs[i] = LayerCtx{Proc: p, plan: pl, layer: i}
 	}
-	if len(layers) > planMaxLayers {
-		return pl // bitmap can't cover the stack; dispatch walks Wants
-	}
-	pl.interest = new([sys.MaxSyscall]uint32)
 	sup := p.k.fac.Load().sup
 	for i, l := range layers {
 		if sup != nil && sup.quarantined(l) {
@@ -103,19 +97,8 @@ func (p *Proc) recompilePlanLocked() {
 }
 
 // InterestMask reports, for tests and tooling, the bitmap of layers that
-// would intercept call num (bit i = layer i, bottom = 0). Stacks too deep
-// for the compiled bitmap are walked linearly; layers beyond bit 31 are
-// not representable and are omitted.
+// would intercept call num (bit i = layer i, bottom = 0).
 func (p *Proc) InterestMask(num int) uint32 {
 	pl := p.currentPlan()
-	if pl.interest != nil {
-		return pl.interestBelow(len(pl.layers), num)
-	}
-	var m uint32
-	for i := 0; i < len(pl.layers) && i < planMaxLayers; i++ {
-		if pl.layers[i].Wants(num) {
-			m |= 1 << uint(i)
-		}
-	}
-	return m
+	return pl.interestBelow(len(pl.layers), num)
 }

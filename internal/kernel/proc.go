@@ -401,10 +401,14 @@ func (p *Proc) Yield() { p.checkSignals() }
 // The layer sees the process's system calls (for registered numbers) before
 // lower layers and the kernel; it sees signals after them. The dispatch
 // plan is recompiled and published atomically: calls already in flight
-// finish under the old plan, the next call sees the new stack.
+// finish under the old plan, the next call sees the new stack. A stack
+// holds at most MaxLayers layers; pushing one more panics.
 func (p *Proc) PushEmulation(l *EmuLayer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if len(p.emu) >= MaxLayers {
+		panic(fmt.Sprintf("kernel: emulation stack is full (%d layers)", MaxLayers))
+	}
 	p.emu = append(p.emu, l)
 	p.recompilePlanLocked()
 }
@@ -647,21 +651,8 @@ func (p *Proc) EmuBytes(b []byte) (sys.Word, sys.Errno) {
 // going straight to the kernel, regardless of stack depth.
 func (p *Proc) dispatch(f *facilities, pl *dispatchPlan, below int, num int, a sys.Args) (sys.Retval, sys.Errno) {
 	if below > 0 {
-		i := -1
-		if pl.interest != nil {
-			if mask := pl.interestBelow(below, num); mask != 0 {
-				i = topInterested(mask)
-			}
-		} else {
-			// Stack too deep for the bitmap: linear interest walk.
-			for j := below - 1; j >= 0; j-- {
-				if pl.layers[j].Wants(num) {
-					i = j
-					break
-				}
-			}
-		}
-		if i >= 0 {
+		if mask := pl.interestBelow(below, num); mask != 0 {
+			i := topInterested(mask)
 			if f.sup != nil {
 				return f.sup.call(p, pl, i, num, a)
 			}

@@ -187,7 +187,7 @@ func (k *Kernel) namei(p *Proc, path string, follow bool) (*vfs.Inode, sys.Errno
 	p.mu.Lock()
 	cwd, root := p.cwd, p.root
 	p.mu.Unlock()
-	return k.fs.LookupEx(root, cwd, path, p.cred(), follow)
+	return k.fs.Lookup(root, cwd, path, p.cred(), follow)
 }
 
 // nameiParent resolves a path's parent directory for p.
@@ -195,7 +195,7 @@ func (k *Kernel) nameiParent(p *Proc, path string) (*vfs.Inode, string, *vfs.Ino
 	p.mu.Lock()
 	cwd, root := p.cwd, p.root
 	p.mu.Unlock()
-	return k.fs.LookupParentEx(root, cwd, path, p.cred())
+	return k.fs.LookupParent(root, cwd, path, p.cred())
 }
 
 // pathArg copies in a pathname argument.

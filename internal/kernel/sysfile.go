@@ -476,7 +476,7 @@ func (k *Kernel) sysAccess(p *Proc, a sys.Args) (sys.Retval, sys.Errno) {
 	p.mu.Lock()
 	cwd, root := p.cwd, p.root
 	p.mu.Unlock()
-	ip, err := k.fs.LookupEx(root, cwd, path, p.realCred(), true)
+	ip, err := k.fs.Lookup(root, cwd, path, p.realCred(), true)
 	if err != sys.OK {
 		return sys.Retval{}, err
 	}

@@ -408,7 +408,7 @@ func (k *Kernel) NewProc() *Proc {
 
 // OpenConsole wires descriptors 0, 1 and 2 of p to /dev/console.
 func (p *Proc) OpenConsole() error {
-	ip, err := p.k.fs.Lookup(p.k.fs.Root(), "/dev/console", rootCred, true)
+	ip, err := p.k.fs.Lookup(nil, nil, "/dev/console", rootCred, true)
 	if err != sys.OK {
 		return err
 	}
@@ -434,7 +434,7 @@ func (p *Proc) SetCreds(uid, gid uint32, groups ...uint32) {
 
 // Chdir sets the working directory (host-side world building).
 func (p *Proc) Chdir(path string) error {
-	ip, err := p.k.fs.Lookup(p.k.fs.Root(), path, rootCred, true)
+	ip, err := p.k.fs.Lookup(nil, nil, path, rootCred, true)
 	if err != sys.OK {
 		return err
 	}

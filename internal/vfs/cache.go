@@ -2,16 +2,14 @@ package vfs
 
 import (
 	"sync/atomic"
-
-	"interpose/internal/sys"
 )
 
 // The dentry cache hangs an immutable name→inode snapshot off every
-// directory inode, published through an atomic pointer. It is the namei
-// fast path: resolve probes each component with one atomic load plus one
-// map read — no locks, no shared-cache hashing — and falls back to the
-// hand-over-hand walk only on a miss or a symlink. Negative entries
-// (names known to be absent) are cached as nil values.
+// directory inode, published through an atomic pointer. resolve probes
+// each component with one atomic load plus one map read — no locks, no
+// shared-cache hashing — and fills the snapshot under the directory's
+// read lock on a miss. Negative entries (names known to be absent) are
+// cached as nil values.
 //
 // Consistency protocol: the snapshot maps are never mutated in place.
 // Fills run under the directory's read lock and publish a cloned map
@@ -19,14 +17,10 @@ import (
 // is simply dropped). Invalidations run in insertLocked/removeLocked
 // under the directory's write lock, which excludes fills entirely, so a
 // plain clone-and-store suffices there. A probe therefore either sees
-// the pre-mutation snapshot (the same answer the locked walk would have
+// the pre-mutation snapshot (the same answer a locked lookup would have
 // given before the mutation completed) or the post-mutation one — never
 // a torn map. Inodes are never freed, so a cached pointer is always
 // safe to dereference.
-//
-// Disabling the cache bumps a filesystem-wide epoch instead of walking
-// every inode: snapshots are tagged with the epoch they were filled
-// under, and a probe ignores any snapshot from an older epoch.
 
 // dirCacheMax bounds one directory's snapshot; a fill into a full
 // snapshot starts a fresh one so recently hot names cycle back in.
@@ -35,30 +29,22 @@ const dirCacheMax = 1024
 // dirCache is an immutable lookup snapshot for one directory. A nil
 // *Inode value is a negative entry.
 type dirCache struct {
-	epoch uint64
-	m     map[string]*Inode
-}
-
-// dcache holds the FS-wide cache controls; the cached data itself lives
-// on the directory inodes (Inode.dmap).
-type dcache struct {
-	off   atomic.Bool   // zero value: enabled
-	epoch atomic.Uint64 // bumped to flush every snapshot at once
+	m map[string]*Inode
 }
 
 // CacheStats is a snapshot of the pathname/attribute cache counters.
 type CacheStats struct {
-	Hits    uint64 // fast-path component hits (positive)
+	Hits    uint64 // component probes served by a dentry snapshot (positive)
 	Misses  uint64 // probes that fell through to a locked lookup
-	NegHits uint64 // fast-path hits on negative entries
+	NegHits uint64 // probes served by a negative entry
 	Invals  uint64 // entries discarded by directory mutations
 	AttrHit uint64 // stat served from the generation-checked cache
 	AttrMis uint64 // stat recomputed under the inode lock
 }
 
-// cacheCounters holds the FS-wide cache counters. Fast-path code adds to
-// them in bulk (once per resolve, not per component) to keep hot-path
-// atomic traffic low.
+// cacheCounters holds the FS-wide cache counters. resolve adds to them
+// in bulk (once per walk, not per component) to keep hot-path atomic
+// traffic low.
 type cacheCounters struct {
 	hits    atomic.Uint64
 	misses  atomic.Uint64
@@ -68,17 +54,36 @@ type cacheCounters struct {
 	attrMis atomic.Uint64
 }
 
-func (c *dcache) enabled() bool { return !c.off.Load() }
+// addWalk publishes one walk's probe counts.
+func (c *cacheCounters) addWalk(hits, misses, negs uint64) {
+	if hits > 0 {
+		c.hits.Add(hits)
+	}
+	if misses > 0 {
+		c.misses.Add(misses)
+	}
+	if negs > 0 {
+		c.negHits.Add(negs)
+	}
+}
+
+// probe returns dir's cached entry for name: found reports whether the
+// snapshot holds one, and a found nil child is a negative entry.
+func (dir *Inode) probe(name string) (child *Inode, found bool) {
+	if dc := dir.dmap.Load(); dc != nil {
+		child, found = dc.m[name]
+	}
+	return child, found
+}
 
 // fill publishes (name → child) in dir's snapshot, child == nil caching
 // a negative entry. The caller must hold dir's read lock: that excludes
 // the invalidators (which hold the write lock), leaving only racing
 // fills, which the compare-and-swap arbitrates.
-func (c *dcache) fill(dir *Inode, name string, child *Inode) {
-	epoch := c.epoch.Load()
+func (dir *Inode) fill(name string, child *Inode) {
 	old := dir.dmap.Load()
 	var m map[string]*Inode
-	if old != nil && old.epoch == epoch && len(old.m) < dirCacheMax {
+	if old != nil && len(old.m) < dirCacheMax {
 		m = make(map[string]*Inode, len(old.m)+1)
 		for k, v := range old.m {
 			m[k] = v
@@ -87,23 +92,19 @@ func (c *dcache) fill(dir *Inode, name string, child *Inode) {
 		m = make(map[string]*Inode, 8)
 	}
 	m[name] = child
-	dir.dmap.CompareAndSwap(old, &dirCache{epoch: epoch, m: m})
+	dir.dmap.CompareAndSwap(old, &dirCache{m: m})
 }
 
-// invalidate discards dir's entry for name, returning whether one
-// existed. Callers hold dir's write lock, so no fill can race and a
-// plain store publishes the shrunken snapshot.
-func (c *dcache) invalidate(dir *Inode, name string) bool {
+// invalidate discards dir's entry for name, counting it if one existed.
+// Callers hold dir's write lock, so no fill can race and a plain store
+// publishes the shrunken snapshot.
+func (dir *Inode) invalidate(name string) {
 	old := dir.dmap.Load()
 	if old == nil {
-		return false
-	}
-	if old.epoch != c.epoch.Load() {
-		dir.dmap.Store(nil) // stale epoch: drop it while we're here
-		return false
+		return
 	}
 	if _, had := old.m[name]; !had {
-		return false
+		return
 	}
 	m := make(map[string]*Inode, len(old.m)-1)
 	for k, v := range old.m {
@@ -111,23 +112,8 @@ func (c *dcache) invalidate(dir *Inode, name string) bool {
 			m[k] = v
 		}
 	}
-	dir.dmap.Store(&dirCache{epoch: old.epoch, m: m})
-	return true
-}
-
-// flush drops every snapshot at once by moving to a new epoch; stale
-// snapshots are ignored by probes and garbage-collected as directories
-// refill.
-func (c *dcache) flush() { c.epoch.Add(1) }
-
-// SetNameCache enables or disables the dentry + attribute fast paths
-// (benchmarks measure both configurations). Disabling flushes the cache.
-// Invalidation hooks stay active while disabled, so re-enabling is safe.
-func (fs *FS) SetNameCache(on bool) {
-	fs.dcache.off.Store(!on)
-	if !on {
-		fs.dcache.flush()
-	}
+	dir.dmap.Store(&dirCache{m: m})
+	dir.fs.cstats.invals.Add(1)
 }
 
 // CacheStats returns the cache counter snapshot.
@@ -140,115 +126,4 @@ func (fs *FS) CacheStats() CacheStats {
 		AttrHit: fs.cstats.attrHit.Load(),
 		AttrMis: fs.cstats.attrMis.Load(),
 	}
-}
-
-// lookupFast resolves path entirely from the dentry snapshots plus
-// lock-free attribute snapshots, filling on misses (under the directory
-// read lock). It walks the path string in place — no component slice is
-// allocated — and returns ok=false when it meets anything it cannot
-// handle without the full walk (a symlink to expand, an over-long name),
-// in which case the caller runs the existing hand-over-hand resolve. The
-// access checks are the same ones the slow path performs, evaluated
-// against each directory's atomically published attribute snapshot.
-func (fs *FS) lookupFast(root, start *Inode, path string, cred Cred, follow bool) (*Inode, sys.Errno, bool) {
-	var hits, misses, negs uint64
-	defer func() {
-		if hits > 0 {
-			fs.cstats.hits.Add(hits)
-		}
-		if misses > 0 {
-			fs.cstats.misses.Add(misses)
-		}
-		if negs > 0 {
-			fs.cstats.negHits.Add(negs)
-		}
-	}()
-	epoch := fs.dcache.epoch.Load()
-	cur := start
-	if path[0] == '/' || cur == nil {
-		cur = root
-	}
-	n := len(path)
-	for i := 0; i < n; {
-		for i < n && path[i] == '/' {
-			i++
-		}
-		if i >= n {
-			break
-		}
-		j := i
-		for j < n && path[j] != '/' {
-			j++
-		}
-		name := path[i:j]
-		// Peek past trailing slashes to learn whether this is the final
-		// component (symlink follow policy differs on the last one).
-		k := j
-		for k < n && path[k] == '/' {
-			k++
-		}
-		last := k >= n
-		i = j
-
-		if len(name) > sys.NameMax {
-			return nil, sys.OK, false
-		}
-		if !cur.IsDir() {
-			return nil, sys.ENOTDIR, true
-		}
-		a := cur.attrs.Load()
-		if a == nil {
-			return nil, sys.OK, false // pre-cache inode (shouldn't happen)
-		}
-		if e := CheckAccess(cred, a.mode, a.uid, a.gid, sys.X_OK); e != sys.OK {
-			return nil, e, true
-		}
-		var next *Inode
-		switch name {
-		case ".":
-			next = cur
-		case "..":
-			if cur == root {
-				next = cur
-			} else if pp := cur.parentPtr(); pp != nil {
-				next = pp
-			} else {
-				next = cur
-			}
-		default:
-			var child *Inode
-			found := false
-			if dc := cur.dmap.Load(); dc != nil && dc.epoch == epoch {
-				child, found = dc.m[name]
-			}
-			switch {
-			case found && child == nil:
-				negs++
-				return nil, sys.ENOENT, true
-			case found:
-				hits++
-				next = child
-			default:
-				misses++
-				cur.mu.RLock()
-				child = cur.lookupLocked(name)
-				fs.dcache.fill(cur, name, child)
-				cur.mu.RUnlock()
-				if child == nil {
-					return nil, sys.ENOENT, true
-				}
-				next = child
-			}
-		}
-		if next.IsSymlink() && (!last || follow) {
-			return nil, sys.OK, false // symlink expansion: take the slow path
-		}
-		cur = next
-	}
-	// A trailing slash requires the object to be a directory, matching
-	// SplitPath's wantDir.
-	if n > 1 && path[n-1] == '/' && !cur.IsDir() {
-		return nil, sys.ENOTDIR, true
-	}
-	return cur, sys.OK, true
 }

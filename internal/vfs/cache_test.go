@@ -11,7 +11,7 @@ import (
 // warm resolves path once so its components are in the dentry cache.
 func warm(t *testing.T, fs *FS, path string) *Inode {
 	t.Helper()
-	ip, err := fs.Lookup(fs.Root(), path, root0, true)
+	ip, err := fs.Lookup(nil, fs.Root(), path, root0, true)
 	if err != sys.OK {
 		t.Fatalf("warm %s: %v", path, err)
 	}
@@ -38,7 +38,7 @@ func TestCacheNegativeEntryInvalidatedByCreate(t *testing.T) {
 	// Two misses on the same absent name: the second should be a cached
 	// negative hit.
 	for i := 0; i < 2; i++ {
-		if _, err := fs.Lookup(fs.Root(), "/a/b/new.txt", root0, true); err != sys.ENOENT {
+		if _, err := fs.Lookup(nil, fs.Root(), "/a/b/new.txt", root0, true); err != sys.ENOENT {
 			t.Fatalf("lookup %d: %v, want ENOENT", i, err)
 		}
 	}
@@ -51,7 +51,7 @@ func TestCacheNegativeEntryInvalidatedByCreate(t *testing.T) {
 	if err != sys.OK {
 		t.Fatalf("create: %v", err)
 	}
-	got, err := fs.Lookup(fs.Root(), "/a/b/new.txt", root0, true)
+	got, err := fs.Lookup(nil, fs.Root(), "/a/b/new.txt", root0, true)
 	if err != sys.OK {
 		t.Fatalf("lookup after create: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestCacheUnlinkInvalidates(t *testing.T) {
 	if err := fs.Unlink(b, "c.txt", root0); err != sys.OK {
 		t.Fatalf("unlink: %v", err)
 	}
-	if _, err := fs.Lookup(fs.Root(), "/a/b/c.txt", root0, true); err != sys.ENOENT {
+	if _, err := fs.Lookup(nil, fs.Root(), "/a/b/c.txt", root0, true); err != sys.ENOENT {
 		t.Fatalf("lookup after unlink: %v, want ENOENT", err)
 	}
 }
@@ -79,10 +79,10 @@ func TestCacheRenameInvalidates(t *testing.T) {
 	if err := fs.Rename(b, "c.txt", b, "d.txt", root0); err != sys.OK {
 		t.Fatalf("rename: %v", err)
 	}
-	if _, err := fs.Lookup(fs.Root(), "/a/b/c.txt", root0, true); err != sys.ENOENT {
+	if _, err := fs.Lookup(nil, fs.Root(), "/a/b/c.txt", root0, true); err != sys.ENOENT {
 		t.Fatalf("old name after rename: %v, want ENOENT", err)
 	}
-	got, err := fs.Lookup(fs.Root(), "/a/b/d.txt", root0, true)
+	got, err := fs.Lookup(nil, fs.Root(), "/a/b/d.txt", root0, true)
 	if err != sys.OK || got != old {
 		t.Fatalf("new name after rename: %v (same inode: %v)", err, got == old)
 	}
@@ -97,13 +97,13 @@ func TestCacheChmodVisibleOnFastPath(t *testing.T) {
 	if err := fs.Chmod(b, 0o700, root0); err != sys.OK {
 		t.Fatalf("chmod: %v", err)
 	}
-	if _, err := fs.Lookup(fs.Root(), "/a/b/c.txt", alice, true); err != sys.EACCES {
+	if _, err := fs.Lookup(nil, fs.Root(), "/a/b/c.txt", alice, true); err != sys.EACCES {
 		t.Fatalf("lookup after chmod: %v, want EACCES", err)
 	}
 	if err := fs.Chmod(b, 0o755, root0); err != sys.OK {
 		t.Fatalf("chmod back: %v", err)
 	}
-	if _, err := fs.Lookup(fs.Root(), "/a/b/c.txt", alice, true); err != sys.OK {
+	if _, err := fs.Lookup(nil, fs.Root(), "/a/b/c.txt", alice, true); err != sys.OK {
 		t.Fatalf("lookup after restore: %v", err)
 	}
 }
@@ -130,24 +130,6 @@ func TestCacheStatGenerationInvalidation(t *testing.T) {
 	}
 	if st := ip.Stat(); st.Mode&0o777 != 0o600 {
 		t.Fatalf("stat after chmod: mode %o, want 600", st.Mode&0o777)
-	}
-}
-
-func TestCacheDisableFlushesAndStaysCorrect(t *testing.T) {
-	fs := build(t)
-	warm(t, fs, "/a/b/c.txt")
-	fs.SetNameCache(false)
-	b := warm(t, fs, "/a/b")
-	if err := fs.Rename(b, "c.txt", b, "d.txt", root0); err != sys.OK {
-		t.Fatalf("rename: %v", err)
-	}
-	fs.SetNameCache(true)
-	// Nothing stale may survive the off/on cycle.
-	if _, err := fs.Lookup(fs.Root(), "/a/b/c.txt", root0, true); err != sys.ENOENT {
-		t.Fatalf("stale entry after re-enable: %v, want ENOENT", err)
-	}
-	if _, err := fs.Lookup(fs.Root(), "/a/b/d.txt", root0, true); err != sys.OK {
-		t.Fatalf("new name after re-enable: %v", err)
 	}
 }
 
@@ -209,7 +191,7 @@ func TestCacheRaceMutationsVsLookups(t *testing.T) {
 				default:
 				}
 				p := paths[(i+g)%len(paths)]
-				ip, err := fs.Lookup(fs.Root(), p, root0, true)
+				ip, err := fs.Lookup(nil, fs.Root(), p, root0, true)
 				switch err {
 				case sys.OK:
 					if ip == nil {
@@ -236,7 +218,7 @@ func TestCacheRaceMutationsVsLookups(t *testing.T) {
 	fs.Chmod(b, 0o755, root0)
 	found := 0
 	for _, n := range []string{"c.txt", "r.txt"} {
-		if _, err := fs.Lookup(fs.Root(), "/a/b/"+n, root0, true); err == sys.OK {
+		if _, err := fs.Lookup(nil, fs.Root(), "/a/b/"+n, root0, true); err == sys.OK {
 			found++
 		} else if err != sys.ENOENT {
 			t.Fatalf("final lookup %s: %v", n, err)
@@ -264,7 +246,7 @@ func TestCacheManyDirectories(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i := 0; i < n; i++ {
 			p := fmt.Sprintf("/big/f%03d", i)
-			if _, err := fs.Lookup(fs.Root(), p, root0, true); err != sys.OK {
+			if _, err := fs.Lookup(nil, fs.Root(), p, root0, true); err != sys.OK {
 				t.Fatalf("round %d lookup %s: %v", round, p, err)
 			}
 		}

@@ -40,8 +40,8 @@ import (
 // with WriteSnapshot: fork a quiesced world.
 //
 // Journaling: the child carries the parent's applied-sequence watermark
-// (jnlSeq) but no journal writer. The caller seals the parent's journal
-// epoch (commit) before forking; replaying the parent's journal onto the
+// (jnlSeq) but no journal writer. The caller commits the parent's
+// journal before forking; replaying the parent's journal onto the
 // child then applies zero records — everything is at or below the
 // watermark. Replay paths unshare before mutating (replay.go), so even a
 // divergent replay cannot scribble on a shared array.

@@ -42,7 +42,7 @@ func buildForkFS(t *testing.T) *FS {
 
 func mustLookup(t *testing.T, fs *FS, path string) *Inode {
 	t.Helper()
-	ip, err := fs.Lookup(fs.Root(), path, root0, true)
+	ip, err := fs.Lookup(nil, fs.Root(), path, root0, true)
 	if err != sys.OK {
 		t.Fatalf("lookup %s: %v", path, err)
 	}
@@ -198,10 +198,10 @@ func TestForkFsckClean(t *testing.T) {
 	mustClean(t, "child after divergence", child)
 
 	// The child never saw the parent's divergence and vice versa.
-	if _, lerr := child.Lookup(child.Root(), "/data/renamed", root0, true); lerr != sys.ENOENT {
+	if _, lerr := child.Lookup(nil, child.Root(), "/data/renamed", root0, true); lerr != sys.ENOENT {
 		t.Fatalf("parent rename leaked into child: %v", lerr)
 	}
-	if _, lerr := fs.Lookup(fs.Root(), "/data/new", root0, true); lerr != sys.ENOENT {
+	if _, lerr := fs.Lookup(nil, fs.Root(), "/data/new", root0, true); lerr != sys.ENOENT {
 		t.Fatalf("child create leaked into parent: %v", lerr)
 	}
 }

@@ -16,14 +16,15 @@ const MaxSymlinks = 8
 // FS is one in-memory filesystem instance.
 //
 // Locking: there is no filesystem-wide lock. Each inode carries its own
-// read-write mutex; path resolution locks one directory at a time
-// (hand-over-hand without coupling — inodes are never freed, so a stale
-// pointer is safe to lock). Mutations lock the parent directory, then at
-// most one child inode nested inside it. Rename, the only operation that
-// must hold two directories at once, additionally serializes against
-// other renames with renameMu and locks its parents ancestor-first (or
-// in inode-number order when unrelated), which keeps it compatible with
-// the parent-before-child order everyone else uses.
+// read-write mutex; path resolution takes no lock on a dentry-cache hit
+// and at most one directory's read lock at a time on a miss (inodes are
+// never freed, so a stale pointer is safe to lock). Mutations lock the
+// parent directory, then at most one child inode nested inside it.
+// Rename, the only operation that must hold two directories at once,
+// additionally serializes against other renames with renameMu and locks
+// its parents ancestor-first (or in inode-number order when unrelated),
+// which keeps it compatible with the parent-before-child order everyone
+// else uses.
 type FS struct {
 	dev     uint32 // immutable
 	root    *Inode // immutable
@@ -37,10 +38,8 @@ type FS struct {
 	// deterministic order without deadlocking another rename.
 	renameMu sync.Mutex
 
-	// dcache is the pathname (dentry) cache: the namei fast path. cstats
-	// holds its hit/miss/invalidation counters plus the stat-attribute
-	// cache counters (see cache.go).
-	dcache dcache
+	// cstats holds the dentry cache's hit/miss/invalidation counters
+	// plus the stat-attribute cache counters (see cache.go).
 	cstats cacheCounters
 
 	// jnl, when non-nil, receives a write-ahead redo record for every
@@ -98,44 +97,21 @@ func (fs *FS) newInode(mode uint32, cred Cred) *Inode {
 	return ip
 }
 
-// SplitPath breaks a path into its components, dropping empty ones.
-// The second result reports whether the path was absolute and the third
-// whether it had a trailing slash (so the object must be a directory).
-func SplitPath(path string) (parts []string, absolute, wantDir bool) {
-	absolute = strings.HasPrefix(path, "/")
-	wantDir = strings.HasSuffix(path, "/") && len(path) > 1
-	for _, p := range strings.Split(path, "/") {
-		if p != "" {
-			parts = append(parts, p)
-		}
-	}
-	return parts, absolute, wantDir
-}
-
-// Lookup resolves path starting from start (the caller's working directory
-// for relative paths), following symbolic links in intermediate components
-// and, when follow is set, in the final component too.
-func (fs *FS) Lookup(start *Inode, path string, cred Cred, follow bool) (*Inode, sys.Errno) {
-	return fs.LookupEx(fs.root, start, path, cred, follow)
-}
-
-// LookupEx is Lookup with an explicit root directory, for chrooted callers:
-// absolute paths and absolute symbolic-link targets resolve from root.
-func (fs *FS) LookupEx(root, start *Inode, path string, cred Cred, follow bool) (*Inode, sys.Errno) {
+// Lookup resolves path for a caller whose root directory is root (nil:
+// the filesystem root; absolute paths and absolute symbolic-link targets
+// resolve from it) and whose working directory is start (nil: root),
+// following symbolic links in intermediate components and, when follow
+// is set, in the final component too.
+func (fs *FS) Lookup(root, start *Inode, path string, cred Cred, follow bool) (*Inode, sys.Errno) {
 	ip, _, _, err := fs.resolve(root, start, path, cred, follow, false)
 	return ip, err
 }
 
 // LookupParent resolves everything but the final component of path,
 // returning the parent directory, the final component name, and the
-// existing inode for that name (nil if absent). Symbolic links in the final
-// component are not followed.
-func (fs *FS) LookupParent(start *Inode, path string, cred Cred) (dir *Inode, name string, existing *Inode, err sys.Errno) {
-	return fs.LookupParentEx(fs.root, start, path, cred)
-}
-
-// LookupParentEx is LookupParent with an explicit root directory.
-func (fs *FS) LookupParentEx(root, start *Inode, path string, cred Cred) (dir *Inode, name string, existing *Inode, err sys.Errno) {
+// existing inode for that name (nil if absent). Symbolic links in the
+// final component are not followed. root and start are as for Lookup.
+func (fs *FS) LookupParent(root, start *Inode, path string, cred Cred) (dir *Inode, name string, existing *Inode, err sys.Errno) {
 	existing, dir, name, err = fs.resolve(root, start, path, cred, false, true)
 	if err == sys.ENOENT && dir != nil && name != "" {
 		// Parent found, leaf missing: success for create-style callers.
@@ -144,13 +120,20 @@ func (fs *FS) LookupParentEx(root, start *Inode, path string, cred Cred) (dir *I
 	return dir, name, existing, err
 }
 
-// resolve walks path, locking one directory at a time. With wantParent set
-// it also reports the parent directory and leaf name (which requires the
-// path not to end in "." or ".."). Returns the found inode (nil with
-// ENOENT if the leaf is absent). The result is a snapshot: by the time the
-// caller acts on it, a concurrent rename may have moved things — callers
-// that mutate re-validate under the parent's lock.
-func (fs *FS) resolve(root, start *Inode, path string, cred Cred, follow, wantParent bool) (*Inode, *Inode, string, sys.Errno) {
+// resolve is namei, the filesystem's one path walker. It walks the path
+// string in place: each component is probed in its directory's dentry
+// snapshot (cache.go) and, on a miss, looked up and filled under that
+// directory's read lock; directory search permission is checked against
+// the lock-free attribute snapshot. A symbolic link is expanded by
+// splicing its target in front of the rest of the path, one string
+// allocation per link. With wantParent set it also reports the parent
+// directory and leaf name (which requires the path not to end in "." or
+// ".."); the leaf is probed but not filled, so a create that follows
+// does not clone the directory's snapshot twice. Returns the found inode
+// (nil with ENOENT if the leaf is absent). The result is a snapshot: by
+// the time the caller acts on it, a concurrent rename may have moved
+// things — callers that mutate re-validate under the parent's lock.
+func (fs *FS) resolve(root, start *Inode, path string, cred Cred, follow, wantParent bool) (ip, parent *Inode, leaf string, err sys.Errno) {
 	if root == nil {
 		root = fs.root
 	}
@@ -160,49 +143,74 @@ func (fs *FS) resolve(root, start *Inode, path string, cred Cred, follow, wantPa
 	if len(path) >= sys.PathMax {
 		return nil, nil, "", sys.ENAMETOOLONG
 	}
-	if !wantParent && fs.dcache.enabled() {
-		// Fast path: walk cached components without inode locks or any
-		// allocation. It bails (ok=false) on symlinks and other cases
-		// needing the full walk.
-		if ip, e, ok := fs.lookupFast(root, start, path, cred, follow); ok {
-			if e != sys.OK {
-				return nil, nil, "", e
-			}
-			return ip, nil, "", sys.OK
-		}
-	}
-	parts, absolute, wantDir := SplitPath(path)
+	var hits, misses, negs uint64
+	defer func() { fs.cstats.addWalk(hits, misses, negs) }()
+
 	cur := start
-	if absolute || cur == nil {
+	if path[0] == '/' || cur == nil {
 		cur = root
 	}
+	// A trailing slash — on the path or on any link target spliced into
+	// it — requires the result to be a directory.
+	wantDir := len(path) > 1 && path[len(path)-1] == '/'
 	nlinks := 0
-	var parent *Inode
-	var leaf string
+	for i := 0; ; {
+		for i < len(path) && path[i] == '/' {
+			i++
+		}
+		if i == len(path) {
+			break
+		}
+		j := i
+		for j < len(path) && path[j] != '/' {
+			j++
+		}
+		name := path[i:j]
+		// Skip the slashes after it: nothing left means this is the final
+		// component (symlink follow policy differs on the last one).
+		i = j
+		for i < len(path) && path[i] == '/' {
+			i++
+		}
+		last := i == len(path)
 
-	for i := 0; i < len(parts); i++ {
-		name := parts[i]
 		if len(name) > sys.NameMax {
 			return nil, nil, "", sys.ENAMETOOLONG
 		}
 		if !cur.IsDir() {
 			return nil, nil, "", sys.ENOTDIR
 		}
-		cur.mu.RLock()
-		e := CheckAccess(cred, cur.Mode, cur.UID, cur.GID, sys.X_OK)
-		var next *Inode
-		if e == sys.OK {
-			if name == ".." && cur == root {
-				next = cur // ".." at the (possibly chroot) root stays put
-			} else {
-				next = cur.lookupLocked(name)
-			}
-		}
-		cur.mu.RUnlock()
-		if e != sys.OK {
+		a := cur.attrs.Load()
+		if e := CheckAccess(cred, a.mode, a.uid, a.gid, sys.X_OK); e != sys.OK {
 			return nil, nil, "", e
 		}
-		last := i == len(parts)-1
+		var next *Inode
+		switch name {
+		case ".":
+			next = cur
+		case "..":
+			next = cur // ".." at the (possibly chroot) root stays put
+			if pp := cur.parentPtr(); cur != root && pp != nil {
+				next = pp
+			}
+		default:
+			var found bool
+			next, found = cur.probe(name)
+			switch {
+			case found && next == nil:
+				negs++
+			case found:
+				hits++
+			default:
+				misses++
+				cur.mu.RLock()
+				next = cur.entries[name]
+				if !last || !wantParent {
+					cur.fill(name, next)
+				}
+				cur.mu.RUnlock()
+			}
+		}
 		if last && wantParent {
 			if name == "." || name == ".." {
 				return next, nil, "", sys.EINVAL
@@ -221,20 +229,17 @@ func (fs *FS) resolve(root, start *Inode, path string, cred Cred, follow, wantPa
 				return nil, nil, "", sys.ELOOP
 			}
 			target := next.link
-			tparts, tabs, twd := SplitPath(target)
 			if target == "" {
 				return nil, nil, "", sys.ENOENT
 			}
-			if twd {
+			if len(target) > 1 && target[len(target)-1] == '/' {
 				wantDir = true
 			}
-			if tabs {
+			if target[0] == '/' {
 				cur = root
 			}
 			// Splice the link target in place of this component.
-			rest := append(append([]string{}, tparts...), parts[i+1:]...)
-			parts = rest
-			i = -1
+			path, i = target+path[j:], 0
 			continue
 		}
 		cur = next
@@ -242,8 +247,8 @@ func (fs *FS) resolve(root, start *Inode, path string, cred Cred, follow, wantPa
 	if wantDir && !cur.IsDir() {
 		return nil, nil, "", sys.ENOTDIR
 	}
-	if len(parts) == 0 && wantParent {
-		// Path was "/" or "." — it has no parent component.
+	if wantParent && parent == nil {
+		// Path was "/" — it has no final component.
 		return cur, nil, "", sys.EINVAL
 	}
 	return cur, parent, leaf, sys.OK

@@ -23,9 +23,9 @@ import (
 //     exactly, and every child directory's ".." points at the directory
 //     that holds it.
 //   - cache coherence: the lock-free attribute snapshot matches the
-//     inode, a current-epoch dentry snapshot holds no entry that
-//     disagrees with the directory, and a current-generation stat
-//     snapshot matches a freshly computed one.
+//     inode, a dentry snapshot holds no entry that disagrees with the
+//     directory, and a current-generation stat snapshot matches a
+//     freshly computed one.
 //
 // Check takes read locks only; run it on a quiesced world.
 func (fs *FS) Check() []string {
@@ -39,7 +39,6 @@ func (fs *FS) Check() []string {
 	subdirs := map[uint32]int{} // subdirectory count per directory
 	reachable := 0
 	var maxIno uint32
-	epoch := fs.dcache.epoch.Load()
 
 	fs.walkTree(func(path string, ip *Inode) {
 		reachable++
@@ -93,8 +92,8 @@ func (fs *FS) Check() []string {
 				}
 			}
 		}
-		// A current-epoch dentry snapshot may be partial but never wrong.
-		if dc := ip.dmap.Load(); dc != nil && dc.epoch == epoch {
+		// A dentry snapshot may be partial but never wrong.
+		if dc := ip.dmap.Load(); dc != nil {
 			for name, cached := range dc.m {
 				if got := ip.entries[name]; got != cached {
 					badf("%s: dentry cache maps %q to inode %v, directory has %v",

@@ -65,8 +65,8 @@ type Inode struct {
 	gen atomic.Uint64
 
 	// attrs is the lock-free access-check snapshot (mode, uid, gid),
-	// republished on chmod/chown. The resolve fast path evaluates
-	// directory execute permission against it without taking mu.
+	// republished on chmod/chown. resolve evaluates directory execute
+	// permission against it without taking mu.
 	attrs atomic.Pointer[attrSnap]
 
 	// statc caches the last computed Stat together with the generation it
@@ -75,8 +75,8 @@ type Inode struct {
 	statc atomic.Pointer[statSnap]
 
 	// dmap is this directory's dentry snapshot (see cache.go): an
-	// immutable name→child map the resolve fast path probes without
-	// taking mu. Nil until the first fill; always nil for non-dirs.
+	// immutable name→child map resolve probes without taking mu. Nil
+	// until the first fill; always nil for non-dirs.
 	dmap atomic.Pointer[dirCache]
 
 	// Advisory flock state. These fields belong to the kernel's global
@@ -154,11 +154,9 @@ func (ip *Inode) size() uint32 {
 // lock; the generation check makes a stale snapshot impossible to serve
 // (every stat-visible mutation bumps the generation under the write lock).
 func (ip *Inode) Stat() sys.Stat {
-	if ip.fs.dcache.enabled() {
-		if sc := ip.statc.Load(); sc != nil && sc.gen == ip.gen.Load() {
-			ip.fs.cstats.attrHit.Add(1)
-			return sc.st
-		}
+	if sc := ip.statc.Load(); sc != nil && sc.gen == ip.gen.Load() {
+		ip.fs.cstats.attrHit.Add(1)
+		return sc.st
 	}
 	ip.mu.RLock()
 	st := ip.statLocked()
@@ -401,9 +399,7 @@ func (ip *Inode) insertLocked(name string, child *Inode) {
 	// Discard any negative dentry for the name just created. Running
 	// under the directory's write lock orders this against concurrent
 	// fills, which hold the read lock.
-	if ip.fs.dcache.invalidate(ip, name) {
-		ip.fs.cstats.invals.Add(1)
-	}
+	ip.invalidate(name)
 }
 
 func (ip *Inode) removeLocked(name string) {
@@ -417,7 +413,5 @@ func (ip *Inode) removeLocked(name string) {
 	now := ip.fs.now()
 	ip.Mtime, ip.Ctime = now, now
 	ip.bump()
-	if ip.fs.dcache.invalidate(ip, name) {
-		ip.fs.cstats.invals.Add(1)
-	}
+	ip.invalidate(name)
 }

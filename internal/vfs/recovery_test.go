@@ -54,7 +54,7 @@ func TestFsckCleanOnBuiltTree(t *testing.T) {
 
 func TestFsckCatchesCorruption(t *testing.T) {
 	fs := build(t)
-	a, _ := fs.Lookup(fs.Root(), "/a", root0, true)
+	a, _ := fs.Lookup(nil, fs.Root(), "/a", root0, true)
 	a.mu.Lock()
 	a.Nlink = 7 // deliberately wrong
 	a.mu.Unlock()
@@ -67,8 +67,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	fs := build(t)
 	// Add a hard link and a second regular file so the snapshot carries
 	// Nlink > 1 and multiple data payloads.
-	b, _ := fs.Lookup(fs.Root(), "/a/b", root0, true)
-	c, _ := fs.Lookup(fs.Root(), "/a/b/c.txt", root0, true)
+	b, _ := fs.Lookup(nil, fs.Root(), "/a/b", root0, true)
+	c, _ := fs.Lookup(nil, fs.Root(), "/a/b/c.txt", root0, true)
 	mustOK(t, fs.Link(b, "hard", c, root0))
 	f, e := fs.Create(b, "second", 0o640, root0)
 	mustOK(t, e)
@@ -92,8 +92,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("inode counts differ: %d vs %d", fs.NumInodes(), got.NumInodes())
 	}
 	// The hard link must be the same inode, not a copy.
-	h1, _ := got.Lookup(got.Root(), "/a/b/hard", root0, true)
-	h2, _ := got.Lookup(got.Root(), "/a/b/c.txt", root0, true)
+	h1, _ := got.Lookup(nil, got.Root(), "/a/b/hard", root0, true)
+	h2, _ := got.Lookup(nil, got.Root(), "/a/b/c.txt", root0, true)
 	if h1 != h2 {
 		t.Fatal("hard link restored as a distinct inode")
 	}
@@ -148,7 +148,7 @@ func TestJournalReplayRebuildsWorld(t *testing.T) {
 	if got.StateHash() != fs.StateHash() {
 		t.Fatal("replayed world differs from the journaled one")
 	}
-	ip, e := got.Lookup(got.Root(), "/work/sub/moved.txt", root0, true)
+	ip, e := got.Lookup(nil, got.Root(), "/work/sub/moved.txt", root0, true)
 	mustOK(t, e)
 	if string(ip.Bytes()) != "hello JOUR" {
 		t.Fatalf("replayed content %q", ip.Bytes())
@@ -300,7 +300,7 @@ func TestJournalFullDegradesReadOnly(t *testing.T) {
 	if e := fs.Chmod(root, 0o700, root0); e != sys.EROFS {
 		t.Fatalf("chmod on degraded journal: %v", e)
 	}
-	f, _ := fs.Lookup(root, "f0", root0, true)
+	f, _ := fs.Lookup(nil, root, "f0", root0, true)
 	if _, e := f.WriteAt([]byte("z"), 0, 0); e != sys.EROFS {
 		t.Fatalf("write on degraded journal: %v", e)
 	}

@@ -45,7 +45,7 @@ func TestLookupBasics(t *testing.T) {
 		"/a/b/c.txt", "a/b/c.txt", "/a/./b/../b/c.txt", "//a//b//c.txt",
 		"/a/link/c.txt", "/a/abs/c.txt",
 	} {
-		ip, err := fs.Lookup(fs.Root(), path, root0, true)
+		ip, err := fs.Lookup(nil, fs.Root(), path, root0, true)
 		if err != sys.OK {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -65,7 +65,7 @@ func TestLookupErrors(t *testing.T) {
 		"/a/nope/c":       sys.ENOENT,
 	}
 	for path, want := range cases {
-		if _, err := fs.Lookup(fs.Root(), path, root0, true); err != want {
+		if _, err := fs.Lookup(nil, fs.Root(), path, root0, true); err != want {
 			t.Errorf("Lookup(%q) = %v, want %v", path, err, want)
 		}
 	}
@@ -73,7 +73,7 @@ func TestLookupErrors(t *testing.T) {
 
 func TestDotDotAtRoot(t *testing.T) {
 	fs := build(t)
-	ip, err := fs.Lookup(fs.Root(), "/../../a/b/c.txt", root0, true)
+	ip, err := fs.Lookup(nil, fs.Root(), "/../../a/b/c.txt", root0, true)
 	if err != sys.OK || string(ip.Bytes()) != "contents" {
 		t.Fatalf("%v", err)
 	}
@@ -81,7 +81,7 @@ func TestDotDotAtRoot(t *testing.T) {
 
 func TestSymlinkNoFollow(t *testing.T) {
 	fs := build(t)
-	ip, err := fs.Lookup(fs.Root(), "/a/link", root0, false)
+	ip, err := fs.Lookup(nil, fs.Root(), "/a/link", root0, false)
 	if err != sys.OK || !ip.IsSymlink() {
 		t.Fatalf("lstat of link: %v, symlink=%v", err, ip.IsSymlink())
 	}
@@ -89,7 +89,7 @@ func TestSymlinkNoFollow(t *testing.T) {
 	if err != sys.OK || target != "b" {
 		t.Fatalf("readlink: %v %q", err, target)
 	}
-	ip, err = fs.Lookup(fs.Root(), "/a/link", root0, true)
+	ip, err = fs.Lookup(nil, fs.Root(), "/a/link", root0, true)
 	if err != sys.OK || !ip.IsDir() {
 		t.Fatalf("stat of link: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestSymlinkLoop(t *testing.T) {
 	fs := New(nil)
 	fs.Symlink(fs.Root(), "x", "y", root0)
 	fs.Symlink(fs.Root(), "y", "x", root0)
-	if _, err := fs.Lookup(fs.Root(), "/x", root0, true); err != sys.ELOOP {
+	if _, err := fs.Lookup(nil, fs.Root(), "/x", root0, true); err != sys.ELOOP {
 		t.Fatalf("loop = %v, want ELOOP", err)
 	}
 	// A chain under the limit resolves.
@@ -110,7 +110,7 @@ func TestSymlinkLoop(t *testing.T) {
 		fs.Symlink(fs.Root(), name, prev, root0)
 		prev = name
 	}
-	if _, err := fs.Lookup(fs.Root(), "/"+prev, root0, true); err != sys.OK {
+	if _, err := fs.Lookup(nil, fs.Root(), "/"+prev, root0, true); err != sys.OK {
 		t.Fatalf("chain of %d = %v", MaxSymlinks, err)
 	}
 }
@@ -121,10 +121,10 @@ func TestNameTooLong(t *testing.T) {
 	for i := range long {
 		long[i] = 'x'
 	}
-	if _, err := fs.Lookup(fs.Root(), "/"+string(long), root0, true); err != sys.ENAMETOOLONG {
+	if _, err := fs.Lookup(nil, fs.Root(), "/"+string(long), root0, true); err != sys.ENAMETOOLONG {
 		t.Fatalf("long name = %v", err)
 	}
-	if _, _, _, err := fs.LookupParent(fs.Root(), "/a/"+string(long), root0); err != sys.ENAMETOOLONG {
+	if _, _, _, err := fs.LookupParent(nil, fs.Root(), "/a/"+string(long), root0); err != sys.ENAMETOOLONG {
 		t.Fatalf("long leaf = %v", err)
 	}
 }
@@ -141,15 +141,15 @@ func TestPermissionChecks(t *testing.T) {
 	}
 
 	// Owner traverses; stranger does not.
-	if _, err := fs.Lookup(fs.Root(), "/private/f", alice, true); err != sys.OK {
+	if _, err := fs.Lookup(nil, fs.Root(), "/private/f", alice, true); err != sys.OK {
 		t.Fatalf("owner: %v", err)
 	}
 	stranger := Cred{UID: 999, GID: 999}
-	if _, err := fs.Lookup(fs.Root(), "/private/f", stranger, true); err != sys.EACCES {
+	if _, err := fs.Lookup(nil, fs.Root(), "/private/f", stranger, true); err != sys.EACCES {
 		t.Fatalf("stranger: %v", err)
 	}
 	// Root always traverses.
-	if _, err := fs.Lookup(fs.Root(), "/private/f", root0, true); err != sys.OK {
+	if _, err := fs.Lookup(nil, fs.Root(), "/private/f", root0, true); err != sys.OK {
 		t.Fatalf("root: %v", err)
 	}
 }
@@ -185,8 +185,8 @@ func TestRootNeedsExecuteBit(t *testing.T) {
 
 func TestLinkUnlinkCounts(t *testing.T) {
 	fs := build(t)
-	b, _ := fs.Lookup(fs.Root(), "/a/b", root0, true)
-	f, _ := fs.Lookup(fs.Root(), "/a/b/c.txt", root0, true)
+	b, _ := fs.Lookup(nil, fs.Root(), "/a/b", root0, true)
+	f, _ := fs.Lookup(nil, fs.Root(), "/a/b/c.txt", root0, true)
 	if f.Stat().Nlink != 1 {
 		t.Fatal("initial nlink")
 	}
@@ -197,7 +197,7 @@ func TestLinkUnlinkCounts(t *testing.T) {
 		t.Fatal("nlink after link")
 	}
 	// Contents shared through both names.
-	ip2, _ := fs.Lookup(fs.Root(), "/a/b/hard", root0, true)
+	ip2, _ := fs.Lookup(nil, fs.Root(), "/a/b/hard", root0, true)
 	if ip2 != f {
 		t.Fatal("hard link resolves to different inode")
 	}
@@ -207,19 +207,19 @@ func TestLinkUnlinkCounts(t *testing.T) {
 	if f.Stat().Nlink != 1 {
 		t.Fatal("nlink after unlink")
 	}
-	if _, err := fs.Lookup(fs.Root(), "/a/b/c.txt", root0, true); err != sys.ENOENT {
+	if _, err := fs.Lookup(nil, fs.Root(), "/a/b/c.txt", root0, true); err != sys.ENOENT {
 		t.Fatal("unlinked name still resolves")
 	}
 }
 
 func TestLinkRestrictions(t *testing.T) {
 	fs := build(t)
-	b, _ := fs.Lookup(fs.Root(), "/a/b", root0, true)
-	a, _ := fs.Lookup(fs.Root(), "/a", root0, true)
+	b, _ := fs.Lookup(nil, fs.Root(), "/a/b", root0, true)
+	a, _ := fs.Lookup(nil, fs.Root(), "/a", root0, true)
 	if err := fs.Link(b, "dirlink", a, root0); err != sys.EPERM {
 		t.Fatalf("link to directory = %v", err)
 	}
-	f, _ := fs.Lookup(fs.Root(), "/a/b/c.txt", root0, true)
+	f, _ := fs.Lookup(nil, fs.Root(), "/a/b/c.txt", root0, true)
 	if err := fs.Link(b, "c.txt", f, root0); err != sys.EEXIST {
 		t.Fatalf("link over existing = %v", err)
 	}
@@ -227,7 +227,7 @@ func TestLinkRestrictions(t *testing.T) {
 
 func TestUnlinkDirectoryRefused(t *testing.T) {
 	fs := build(t)
-	a, _ := fs.Lookup(fs.Root(), "/a", root0, true)
+	a, _ := fs.Lookup(nil, fs.Root(), "/a", root0, true)
 	if err := fs.Unlink(a, "b", root0); err != sys.EPERM {
 		t.Fatalf("unlink dir = %v", err)
 	}
@@ -235,11 +235,11 @@ func TestUnlinkDirectoryRefused(t *testing.T) {
 
 func TestRmdirSemantics(t *testing.T) {
 	fs := build(t)
-	a, _ := fs.Lookup(fs.Root(), "/a", root0, true)
+	a, _ := fs.Lookup(nil, fs.Root(), "/a", root0, true)
 	if err := fs.Rmdir(a, "b", root0); err != sys.ENOTEMPTY {
 		t.Fatalf("rmdir non-empty = %v", err)
 	}
-	b, _ := fs.Lookup(fs.Root(), "/a/b", root0, true)
+	b, _ := fs.Lookup(nil, fs.Root(), "/a/b", root0, true)
 	fs.Unlink(b, "c.txt", root0)
 	before := a.Stat().Nlink
 	if err := fs.Rmdir(a, "b", root0); err != sys.OK {
@@ -255,29 +255,29 @@ func TestRmdirSemantics(t *testing.T) {
 
 func TestRenameFile(t *testing.T) {
 	fs := build(t)
-	b, _ := fs.Lookup(fs.Root(), "/a/b", root0, true)
-	a, _ := fs.Lookup(fs.Root(), "/a", root0, true)
+	b, _ := fs.Lookup(nil, fs.Root(), "/a/b", root0, true)
+	a, _ := fs.Lookup(nil, fs.Root(), "/a", root0, true)
 	if err := fs.Rename(b, "c.txt", a, "moved.txt", root0); err != sys.OK {
 		t.Fatal(err)
 	}
-	ip, err := fs.Lookup(fs.Root(), "/a/moved.txt", root0, true)
+	ip, err := fs.Lookup(nil, fs.Root(), "/a/moved.txt", root0, true)
 	if err != sys.OK || string(ip.Bytes()) != "contents" {
 		t.Fatalf("move lost data: %v", err)
 	}
-	if _, err := fs.Lookup(fs.Root(), "/a/b/c.txt", root0, true); err != sys.ENOENT {
+	if _, err := fs.Lookup(nil, fs.Root(), "/a/b/c.txt", root0, true); err != sys.ENOENT {
 		t.Fatal("old name survives")
 	}
 }
 
 func TestRenameOverExisting(t *testing.T) {
 	fs := build(t)
-	b, _ := fs.Lookup(fs.Root(), "/a/b", root0, true)
+	b, _ := fs.Lookup(nil, fs.Root(), "/a/b", root0, true)
 	victim, _ := fs.Create(b, "victim", 0o644, root0)
 	victim.WriteAt([]byte("old"), 0, 0)
 	if err := fs.Rename(b, "c.txt", b, "victim", root0); err != sys.OK {
 		t.Fatal(err)
 	}
-	ip, _ := fs.Lookup(fs.Root(), "/a/b/victim", root0, true)
+	ip, _ := fs.Lookup(nil, fs.Root(), "/a/b/victim", root0, true)
 	if string(ip.Bytes()) != "contents" {
 		t.Fatal("replaced file has wrong contents")
 	}
@@ -289,8 +289,8 @@ func TestRenameOverExisting(t *testing.T) {
 func TestRenameDirIntoOwnSubtree(t *testing.T) {
 	fs := build(t)
 	root := fs.Root()
-	a, _ := fs.Lookup(root, "/a", root0, true)
-	b, _ := fs.Lookup(root, "/a/b", root0, true)
+	a, _ := fs.Lookup(nil, root, "/a", root0, true)
+	b, _ := fs.Lookup(nil, root, "/a/b", root0, true)
 	if err := fs.Rename(root, "a", b, "evil", root0); err != sys.EINVAL {
 		t.Fatalf("rename into own subtree = %v", err)
 	}
@@ -300,13 +300,13 @@ func TestRenameDirIntoOwnSubtree(t *testing.T) {
 func TestRenameDirUpdatesDotDot(t *testing.T) {
 	fs := build(t)
 	root := fs.Root()
-	a, _ := fs.Lookup(root, "/a", root0, true)
+	a, _ := fs.Lookup(nil, root, "/a", root0, true)
 	// Move /a/b to /b2.
 	if err := fs.Rename(a, "b", root, "b2", root0); err != sys.OK {
 		t.Fatal(err)
 	}
 	// The moved directory's ".." now names the root.
-	ip, err := fs.Lookup(root, "/b2/..", root0, true)
+	ip, err := fs.Lookup(nil, root, "/b2/..", root0, true)
 	if err != sys.OK || ip != root {
 		t.Fatalf("..: %v", err)
 	}
@@ -314,7 +314,7 @@ func TestRenameDirUpdatesDotDot(t *testing.T) {
 
 func TestRenameTypeMismatches(t *testing.T) {
 	fs := build(t)
-	b, _ := fs.Lookup(fs.Root(), "/a/b", root0, true)
+	b, _ := fs.Lookup(nil, fs.Root(), "/a/b", root0, true)
 	fs.Mkdir(b, "subdir", 0o755, root0)
 	if err := fs.Rename(b, "c.txt", b, "subdir", root0); err != sys.EISDIR {
 		t.Fatalf("file over dir = %v", err)
@@ -340,7 +340,7 @@ func TestStickyBit(t *testing.T) {
 
 func TestChmodChown(t *testing.T) {
 	fs := build(t)
-	f, _ := fs.Lookup(fs.Root(), "/a/b/c.txt", root0, true)
+	f, _ := fs.Lookup(nil, fs.Root(), "/a/b/c.txt", root0, true)
 	if err := fs.Chmod(f, 0o600, alice); err != sys.EPERM {
 		t.Fatalf("chmod by non-owner = %v", err)
 	}
@@ -418,7 +418,7 @@ func TestWriteMaxSize(t *testing.T) {
 
 func TestDirents(t *testing.T) {
 	fs := build(t)
-	b, _ := fs.Lookup(fs.Root(), "/a/b", root0, true)
+	b, _ := fs.Lookup(nil, fs.Root(), "/a/b", root0, true)
 	ents, err := b.Dirents()
 	if err != sys.OK {
 		t.Fatal(err)
@@ -426,7 +426,7 @@ func TestDirents(t *testing.T) {
 	if ents[0].Name != "." || ents[1].Name != ".." || ents[2].Name != "c.txt" {
 		t.Fatalf("entries: %+v", ents)
 	}
-	a, _ := fs.Lookup(fs.Root(), "/a", root0, true)
+	a, _ := fs.Lookup(nil, fs.Root(), "/a", root0, true)
 	if ents[1].Ino != a.Stat().Ino {
 		t.Fatal(".. has wrong inode")
 	}
@@ -447,7 +447,7 @@ func TestCreateInheritsDirGroup(t *testing.T) {
 
 func TestUtimes(t *testing.T) {
 	fs := build(t)
-	f, _ := fs.Lookup(fs.Root(), "/a/b/c.txt", root0, true)
+	f, _ := fs.Lookup(nil, fs.Root(), "/a/b/c.txt", root0, true)
 	when := time.Unix(1000, 2000)
 	if err := fs.Utimes(f, when, when, root0); err != sys.OK {
 		t.Fatal(err)
@@ -495,7 +495,7 @@ func TestRandomOpsInvariants(t *testing.T) {
 			fs.Rename(d, name, d2, names[rng.Intn(len(names))], root0)
 			dirs = pruneDead(fs, dirs)
 		case 6:
-			if target, err := fs.Lookup(d, name, root0, false); err == sys.OK && !target.IsDir() {
+			if target, err := fs.Lookup(nil, d, name, root0, false); err == sys.OK && !target.IsDir() {
 				fs.Link(d, name+"l", target, root0)
 			}
 		}

@@ -457,8 +457,12 @@ func (w *World) releaseStore() {
 
 // Attach constructs the Spec's agent stack. Boot calls it; calling it
 // again rebuilds the stack from the spec (fresh agent state for a world
-// that wants per-session agents).
+// that wants per-session agents). A stack deeper than kernel.MaxLayers
+// is refused.
 func (w *World) Attach() error {
+	if n := len(w.spec.Agents); n > kernel.MaxLayers {
+		return fmt.Errorf("world: attach: %d agents, at most %d", n, kernel.MaxLayers)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var stack []core.Agent

@@ -92,6 +92,24 @@ func TestSetupHooksAndAgents(t *testing.T) {
 	}
 }
 
+// TestAgentStackLimit: a spec with kernel.MaxLayers agents boots and
+// runs; one more agent is refused at boot.
+func TestAgentStackLimit(t *testing.T) {
+	spec := apps.Spec()
+	for range kernel.MaxLayers {
+		spec.Agents = append(spec.Agents, "null")
+	}
+	w := boot(t, spec)
+	if res := run(t, w, "echo", "deep"); res.Status != 0 || res.Output != "deep\n" {
+		t.Fatalf("echo under %d agents: status %d output %q", kernel.MaxLayers, res.Status, res.Output)
+	}
+	spec.Agents = append(spec.Agents, "null")
+	if w, err := world.Boot(spec); err == nil {
+		w.Close()
+		t.Fatalf("boot with %d agents succeeded", len(spec.Agents))
+	}
+}
+
 func TestRlimitBudget(t *testing.T) {
 	spec := apps.Spec()
 	// Console is fds 0-2; a ceiling of 3 leaves no room for any open.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"interpose/internal/kernel"
 	"interpose/internal/world"
 	"interpose/internal/worldd"
 )
@@ -177,6 +178,26 @@ func TestPooledRejectsFileJournal(t *testing.T) {
 	res := c.exec(id, "sh", "-c", "echo ok > /state")
 	if res.Status != 0 {
 		t.Fatalf("journaled pooled write: status %d", res.Status)
+	}
+}
+
+// TestAgentStackLimit: a create whose stack exceeds kernel.MaxLayers is
+// a 400, pooled or not; one at the limit is created and runs.
+func TestAgentStackLimit(t *testing.T) {
+	c := testServer(t)
+	agents := make([]string, kernel.MaxLayers+1)
+	for i := range agents {
+		agents[i] = "null"
+	}
+	for _, pool := range []int{0, 1} {
+		spec := world.Spec{Name: "deep", Pool: pool, Agents: agents}
+		if st := c.do("POST", "/1.0/worlds", spec, nil); st != http.StatusBadRequest {
+			t.Fatalf("pool %d, %d agents: status %d, want 400", pool, len(agents), st)
+		}
+	}
+	id := c.create(world.Spec{Name: "deep", Agents: agents[:kernel.MaxLayers]})
+	if res := c.exec(id, "echo", "ok"); res.Status != 0 || res.Output != "ok\n" {
+		t.Fatalf("echo under %d agents: status %d output %q", kernel.MaxLayers, res.Status, res.Output)
 	}
 }
 

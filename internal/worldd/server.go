@@ -530,18 +530,15 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "admission: negative budget")
 		return
 	}
+	jkey, jpath := spec.JournalPath, ""
 	if spec.Pool > 0 {
 		// Pooled tenants take the warm-fork fast path; file journals are
 		// per-world host files and cannot back N identical members.
-		if spec.JournalPath != "" {
+		if jkey != "" {
 			httpError(w, http.StatusBadRequest, "pooled worlds cannot use a file journal; use journal_mem")
 			return
 		}
-		s.createFromPool(w, spec)
-		return
-	}
-	jkey, jpath := spec.JournalPath, ""
-	if jkey != "" {
+	} else if jkey != "" {
 		p, err := s.journalFile(jkey)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "journal: %v", err)
@@ -568,6 +565,15 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	var key string
+	var slot *poolSlot
+	if spec.Pool > 0 {
+		key = poolKey(spec)
+		if slot = s.pools[key]; slot == nil {
+			slot = &poolSlot{name: spec.Name}
+			s.pools[key] = slot
+		}
+	}
 	s.nextID++
 	id := fmt.Sprintf("w%d", s.nextID)
 	if jpath != "" {
@@ -575,16 +581,20 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	// Fork outside the table lock: a journal replay can be slow, and
-	// siblings must not wait on it.
-	wd, err := world.Fork(s.base, spec)
+	// Make the world outside the table lock: a journal replay or a pool's
+	// first construction can be slow, and siblings must not wait on it.
+	wd, status, err := s.makeWorld(spec, key, slot)
 	if err != nil {
 		s.releaseJournal(jpath)
-		httpError(w, http.StatusBadRequest, "create: %v", err)
+		httpError(w, status, "%v", err)
 		return
 	}
 	e := &entry{ID: id, Name: spec.Name, Created: time.Now(), journal: jpath,
 		spec: spec, admit: newAdmitState(spec.Admission)}
+	from := ""
+	if slot != nil {
+		e.pool, from = slot.pool, " from pool"
+	}
 	e.w.Store(wd)
 	s.adopt(e, wd)
 
@@ -600,7 +610,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	s.created.Add(1)
-	s.logf("worldd: created %s (%s)", id, spec.Name)
+	s.logf("worldd: created %s (%s)%s", id, spec.Name, from)
 	reply(w, http.StatusCreated, s.info(e))
 }
 
@@ -614,68 +624,39 @@ func poolKey(spec world.Spec) string {
 	return string(b)
 }
 
-// createFromPool serves a pooled create: the spec's pool is found (or
-// built, once, by the first creator) and a member acquired from it — a
-// warm copy-on-write fork, not a boot. The acquired world is a normal
-// tenant from then on: it appears in the table, runs sessions, and
-// DELETE closes it (members are consumed, never returned to the pool).
-func (s *Server) createFromPool(w http.ResponseWriter, spec world.Spec) {
-	key := poolKey(spec)
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "server draining")
-		return
-	}
-	slot := s.pools[key]
+// makeWorld makes a new tenant's world, returning the HTTP status to
+// answer with on failure. Without a pool slot it forks the base world.
+// With one, the spec's pool is built (once, by the first creator; a
+// failed construction is evicted so it does not poison the key) and a
+// member acquired from it — a warm copy-on-write fork. The acquired
+// world is a normal tenant from then on: it appears in the table, runs
+// sessions, and DELETE closes it (members are consumed, never returned
+// to the pool).
+func (s *Server) makeWorld(spec world.Spec, key string, slot *poolSlot) (*world.World, int, error) {
 	if slot == nil {
-		slot = &poolSlot{name: spec.Name}
-		s.pools[key] = slot
+		wd, err := world.Fork(s.base, spec)
+		if err != nil {
+			return nil, http.StatusBadRequest, fmt.Errorf("create: %w", err)
+		}
+		return wd, 0, nil
 	}
-	s.nextID++
-	id := fmt.Sprintf("w%d", s.nextID)
-	s.mu.Unlock()
-
-	// Build the pool outside every server lock (N warm forks of the
-	// base); concurrent first creates wait here instead of racing.
+	// Concurrent first creates wait here instead of racing.
 	slot.once.Do(func() {
 		slot.pool, slot.err = world.NewPoolFrom(s.base, spec, spec.Pool)
 	})
 	if slot.err != nil {
-		// A failed construction does not poison the key forever.
 		s.mu.Lock()
 		if s.pools[key] == slot {
 			delete(s.pools, key)
 		}
 		s.mu.Unlock()
-		httpError(w, http.StatusBadRequest, "pool: %v", slot.err)
-		return
+		return nil, http.StatusBadRequest, fmt.Errorf("pool: %w", slot.err)
 	}
-
 	wd, err := slot.pool.Acquire()
 	if err != nil {
-		httpError(w, http.StatusConflict, "pool: %v", err)
-		return
+		return nil, http.StatusConflict, fmt.Errorf("pool: %w", err)
 	}
-	e := &entry{ID: id, Name: spec.Name, Created: time.Now(),
-		spec: spec, pool: slot.pool, admit: newAdmitState(spec.Admission)}
-	e.w.Store(wd)
-	s.adopt(e, wd)
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		wd.Close()
-		httpError(w, http.StatusServiceUnavailable, "server draining")
-		return
-	}
-	s.worlds[id] = e
-	s.mu.Unlock()
-
-	s.created.Add(1)
-	s.logf("worldd: created %s (%s) from pool", id, spec.Name)
-	reply(w, http.StatusCreated, s.info(e))
+	return wd, 0, nil
 }
 
 // lookup finds a world entry by id, briefly under the table lock.
